@@ -1,12 +1,10 @@
 // Micro-benchmarks (google-benchmark) of the computational kernels behind
 // the tables: shortest paths, Yen's K-shortest, the multi-wall channel
 // model, sparse LU factorization, one dual-simplex LP solve, a full
-// Algorithm 1 encoding pass, and scalar-vs-vector pairs for every SIMD
-// dispatch kernel (BM_Simd*; the /scalar and /widest variants compute
-// bit-identical results, so the ratio is pure ISA speedup).
+// Algorithm 1 encoding pass.
 #include <benchmark/benchmark.h>
 
-#include <random>
+#include <algorithm>
 
 #include "channel/propagation.h"
 #include "core/encode/encoder.h"
@@ -16,7 +14,6 @@
 #include "graph/yen.h"
 #include "milp/simplex/dual_simplex.h"
 #include "milp/simplex/lu.h"
-#include "util/simd/simd.h"
 
 using namespace wnet;
 
@@ -211,189 +208,6 @@ void BM_EncodeApprox(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EncodeApprox)->Arg(30)->Arg(60)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// SIMD dispatch pairs. Each BM_Simd* benchmark is registered twice — forced
-// scalar and forced widest-supported ISA — over identical deterministic
-// inputs. Outputs are bit-identical by the dispatch contract; the pair's
-// time ratio is the kernel speedup reported in EXPERIMENTS.md.
-
-namespace simd = util::simd;
-
-/// Deterministic kernel workload shared by the pair benchmarks: a sparse
-/// gather/scatter pattern of `len` distinct rows in a `dim`-sized dense
-/// operand, plus dense operands for the element-wise kernels.
-struct SimdFixture {
-  std::vector<int32_t> rows;
-  std::vector<double> values;
-  std::vector<double> dense;
-  std::vector<double> dense2;
-
-  SimdFixture(int dim, int len) {
-    std::mt19937_64 rng(12345);
-    std::vector<int> all(static_cast<size_t>(dim));
-    for (int i = 0; i < dim; ++i) all[static_cast<size_t>(i)] = i;
-    std::shuffle(all.begin(), all.end(), rng);
-    std::uniform_real_distribution<double> val(-2.0, 2.0);
-    for (int i = 0; i < len; ++i) {
-      rows.push_back(static_cast<int32_t>(all[static_cast<size_t>(i)]));
-      values.push_back(val(rng));
-    }
-    std::sort(rows.begin(), rows.end());
-    for (int i = 0; i < dim; ++i) {
-      dense.push_back(val(rng));
-      dense2.push_back(val(rng) + 2.5);
-    }
-  }
-};
-
-void BM_SimdGatherDot(benchmark::State& state, simd::Level level) {
-  const simd::ScopedLevel forced(level);
-  if (!forced.ok()) {
-    state.SkipWithError("dispatch level unavailable on this host");
-    return;
-  }
-  const SimdFixture f(8192, 1024);
-  const auto& k = simd::kernels();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        k.gather_dot(f.rows.data(), f.values.data(),
-                     static_cast<int>(f.rows.size()), f.dense.data()));
-  }
-}
-BENCHMARK_CAPTURE(BM_SimdGatherDot, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_SimdGatherDot, widest, simd::widest_supported());
-
-void BM_SimdScatterAxpy(benchmark::State& state, simd::Level level) {
-  const simd::ScopedLevel forced(level);
-  if (!forced.ok()) {
-    state.SkipWithError("dispatch level unavailable on this host");
-    return;
-  }
-  const SimdFixture f(8192, 1024);
-  std::vector<double> dense = f.dense;
-  const auto& k = simd::kernels();
-  for (auto _ : state) {
-    k.scatter_axpy(f.rows.data(), f.values.data(), static_cast<int>(f.rows.size()),
-                   1e-9, dense.data());
-    benchmark::DoNotOptimize(dense.data());
-  }
-}
-BENCHMARK_CAPTURE(BM_SimdScatterAxpy, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_SimdScatterAxpy, widest, simd::widest_supported());
-
-void BM_SimdDenseAxpy(benchmark::State& state, simd::Level level) {
-  const simd::ScopedLevel forced(level);
-  if (!forced.ok()) {
-    state.SkipWithError("dispatch level unavailable on this host");
-    return;
-  }
-  const SimdFixture f(4096, 1);
-  std::vector<double> y = f.dense;
-  const auto& k = simd::kernels();
-  for (auto _ : state) {
-    k.dense_axpy(y.data(), f.dense2.data(), 1e-9, static_cast<int>(y.size()));
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK_CAPTURE(BM_SimdDenseAxpy, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_SimdDenseAxpy, widest, simd::widest_supported());
-
-void BM_SimdRowActivity(benchmark::State& state, simd::Level level) {
-  const simd::ScopedLevel forced(level);
-  if (!forced.ok()) {
-    state.SkipWithError("dispatch level unavailable on this host");
-    return;
-  }
-  const SimdFixture f(8192, 1024);
-  const auto& k = simd::kernels();
-  for (auto _ : state) {
-    double lo = 0.0, hi = 0.0;
-    k.row_activity(f.rows.data(), f.values.data(), static_cast<int>(f.rows.size()),
-                   f.dense.data(), f.dense2.data(), &lo, &hi);
-    benchmark::DoNotOptimize(lo);
-    benchmark::DoNotOptimize(hi);
-  }
-}
-BENCHMARK_CAPTURE(BM_SimdRowActivity, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_SimdRowActivity, widest, simd::widest_supported());
-
-void BM_SimdPairDistances(benchmark::State& state, simd::Level level) {
-  const simd::ScopedLevel forced(level);
-  if (!forced.ok()) {
-    state.SkipWithError("dispatch level unavailable on this host");
-    return;
-  }
-  const SimdFixture f(4096, 1);
-  std::vector<double> out(f.dense.size());
-  const auto& k = simd::kernels();
-  for (auto _ : state) {
-    k.pair_distances(f.dense.data(), f.dense2.data(), static_cast<int>(out.size()),
-                     0.5, -0.25, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK_CAPTURE(BM_SimdPairDistances, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_SimdPairDistances, widest, simd::widest_supported());
-
-void BM_SimdWallClassify(benchmark::State& state, simd::Level level) {
-  const simd::ScopedLevel forced(level);
-  if (!forced.ok()) {
-    state.SkipWithError("dispatch level unavailable on this host");
-    return;
-  }
-  // Full multi-wall crossing accumulation over the reference office floor:
-  // the segment_classify kernel plus the scalar fallback for grazing hits.
-  const auto plan = geom::make_office_floor(80, 45, 8);
-  double x = 0.0;
-  for (auto _ : state) {
-    x += 0.1;
-    if (x > 70) x = 0;
-    benchmark::DoNotOptimize(plan.wall_loss_db({x, 5}, {79 - x, 40}));
-  }
-}
-BENCHMARK_CAPTURE(BM_SimdWallClassify, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_SimdWallClassify, widest, simd::widest_supported());
-
-void BM_SimdPathLossBatch(benchmark::State& state, simd::Level level) {
-  const simd::ScopedLevel forced(level);
-  if (!forced.ok()) {
-    state.SkipWithError("dispatch level unavailable on this host");
-    return;
-  }
-  const channel::LogDistanceModel model(2.4e9, 2.8);
-  const SimdFixture f(1024, 1);
-  std::vector<double> out(f.dense.size());
-  for (auto _ : state) {
-    model.path_loss_batch({0.5, -0.25}, f.dense.data(), f.dense2.data(),
-                          static_cast<int>(out.size()), out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK_CAPTURE(BM_SimdPathLossBatch, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_SimdPathLossBatch, widest, simd::widest_supported());
-
-void BM_SimdFtranBtran(benchmark::State& state, simd::Level level) {
-  const simd::ScopedLevel forced(level);
-  if (!forced.ok()) {
-    state.SkipWithError("dispatch level unavailable on this host");
-    return;
-  }
-  const int m = 2000;
-  const auto lu = make_block_lu(m);
-  std::vector<double> x(static_cast<size_t>(m), 0.0);
-  int row = 0;
-  for (auto _ : state) {
-    std::fill(x.begin(), x.end(), 0.0);
-    x[static_cast<size_t>(row)] = 1.25;
-    lu.ftran(x);
-    lu.btran(x);
-    benchmark::DoNotOptimize(x.data());
-    row = (row + 17) % m;
-  }
-}
-BENCHMARK_CAPTURE(BM_SimdFtranBtran, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_SimdFtranBtran, widest, simd::widest_supported());
 
 }  // namespace
 

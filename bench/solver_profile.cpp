@@ -23,15 +23,8 @@
 //                      strict-JSON row per solve plus a final summary row.
 //                      No baselines or A/B gates: partial results are the
 //                      point. Always exits 0 unless a solve crashes.
-//   --simd-ab          Dispatch-level A/B: solves the smoke subset twice,
-//                      forced scalar then forced widest-supported ISA, and
-//                      enforces the bit-identity contract (objective, node
-//                      count, LP iterations and every solution coordinate
-//                      byte-equal). Prints per-instance time ratios plus a
-//                      geomean; exits non-zero on any divergence.
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -46,7 +39,6 @@
 #include "util/exec/exec.h"
 #include "util/obs/json.h"
 #include "util/obs/trace.h"
-#include "util/simd/simd.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
 
@@ -236,8 +228,6 @@ bool objectives_match(double a, double b) {
   return std::abs(a - b) <= 1e-6 * std::max(1.0, std::max(std::abs(a), std::abs(b)));
 }
 
-bool bits_equal(double a, double b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -249,8 +239,7 @@ int main(int argc, char** argv) {
                     {"smoke", "0"},
                     {"write-baseline", "0"},
                     {"baseline", "bench/solver_profile_baseline.json"},
-                    {"time-budget", "0"},
-                    {"simd-ab", "0"}});
+                    {"time-budget", "0"}});
 
   // Ctrl-C / SIGTERM trip the process-wide cancellation token instead of
   // killing the process: in-flight solves return their incumbents and the
@@ -259,7 +248,6 @@ int main(int argc, char** argv) {
 
   const bool smoke = args.getb("smoke");
   const bool write = args.getb("write-baseline");
-  const bool simd_ab = args.getb("simd-ab");
   const double budget_s = args.getd("time-budget");
 
   // --trace out.json: record spans/counters for every solve and dump a
@@ -284,84 +272,7 @@ int main(int argc, char** argv) {
   legacy.node_propagation = false;
 
   auto family = build_family(args.geti("kstar"),
-                             /*smoke_only=*/smoke || write || simd_ab || budget_s > 0.0);
-
-  if (simd_ab) {
-    // Dispatch-level A/B. Every solve is repeated under forced-scalar and
-    // forced-widest dispatch; the kernel determinism contract promises the
-    // whole branch-and-bound trajectory is identical, so everything except
-    // wall time must match to the byte.
-    namespace simd = util::simd;
-    const simd::Level widest = simd::widest_supported();
-    std::printf("simd-ab: scalar vs %s\n", simd::level_name(widest));
-    if (widest == simd::Level::kScalar) {
-      std::printf("simd-ab: host has no vector ISA; nothing to compare\n");
-      return 0;
-    }
-    util::Table t({"Instance", "Obj", "Nodes", "LP iters", "Time scalar (s)",
-                   std::string("Time ") + simd::level_name(widest) + " (s)", "Ratio"});
-    double log_time_ratio = 0.0;
-    int compared = 0;
-    double t3_log_time_ratio = 0.0;
-    int t3_compared = 0;
-    bool ab_ok = true;
-    for (const auto& inst : family) {
-      milp::MipResult sres, vres;
-      {
-        const simd::ScopedLevel forced(simd::Level::kScalar);
-        sres = milp::solve(inst.model, current);
-      }
-      {
-        const simd::ScopedLevel forced(widest);
-        vres = milp::solve(inst.model, current);
-      }
-      bool same = sres.status == vres.status &&
-                  bits_equal(sres.objective, vres.objective) &&
-                  bits_equal(sres.bound, vres.bound) &&
-                  sres.stats.nodes == vres.stats.nodes &&
-                  sres.stats.lp_iterations == vres.stats.lp_iterations &&
-                  sres.x.size() == vres.x.size();
-      if (same) {
-        for (size_t i = 0; i < sres.x.size(); ++i) {
-          if (!bits_equal(sres.x[i], vres.x[i])) same = false;
-        }
-      }
-      if (!same) {
-        std::fprintf(stderr,
-                     "FAIL %s: dispatch levels diverge (scalar obj %.17g nodes %ld "
-                     "iters %ld vs %s obj %.17g nodes %ld iters %ld)\n",
-                     inst.name.c_str(), sres.objective, sres.stats.nodes,
-                     sres.stats.lp_iterations, simd::level_name(widest), vres.objective,
-                     vres.stats.nodes, vres.stats.lp_iterations);
-        ab_ok = false;
-      }
-      const double ratio =
-          std::max(1e-4, sres.stats.time_s) / std::max(1e-4, vres.stats.time_s);
-      log_time_ratio += std::log(ratio);
-      ++compared;
-      if (inst.name.rfind("table3", 0) == 0) {
-        t3_log_time_ratio += std::log(ratio);
-        ++t3_compared;
-      }
-      t.add_row({inst.name, util::fmt_double(sres.objective, 3),
-                 std::to_string(sres.stats.nodes),
-                 std::to_string(sres.stats.lp_iterations),
-                 util::fmt_double(sres.stats.time_s, 3),
-                 util::fmt_double(vres.stats.time_s, 3), util::fmt_double(ratio, 2)});
-    }
-    bench::print_table("SIMD dispatch A/B: forced scalar vs forced widest", t);
-    if (compared > 0) {
-      std::printf("geomean time ratio (scalar/%s), %d instances: %.2fx\n",
-                  simd::level_name(widest), compared,
-                  std::exp(log_time_ratio / compared));
-    }
-    if (t3_compared > 0) {
-      std::printf("geomean time ratio, table3 family (%d instances): %.2fx\n",
-                  t3_compared, std::exp(t3_log_time_ratio / t3_compared));
-    }
-    std::printf(ab_ok ? "simd-ab: PASS\n" : "simd-ab: FAIL\n");
-    return ab_ok ? 0 : 1;
-  }
+                             /*smoke_only=*/smoke || write || budget_s > 0.0);
 
   if (budget_s > 0.0) {
     // Budget mode. The deadline starts *after* the family is built so the

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/kernels.h"
 #include "util/rng.h"
-#include "util/simd/simd.h"
 
 namespace wnet::channel {
 
@@ -37,9 +37,9 @@ double FreeSpaceModel::path_loss_db(geom::Vec2 tx, geom::Vec2 rx) const {
 
 void FreeSpaceModel::path_loss_batch(geom::Vec2 tx, const double* xs,
                                      const double* ys, int n, double* out) const {
-  // Distances via the SIMD kernel (bit-identical to Vec2::dist — squaring
+  // Distances via the batch kernel (bit-identical to Vec2::dist — squaring
   // absorbs the reversed subtraction direction exactly), log tail scalar.
-  util::simd::kernels().pair_distances(xs, ys, n, tx.x, tx.y, out);
+  util::kernels::pair_distances(xs, ys, n, tx.x, tx.y, out);
   for (int i = 0; i < n; ++i) out[i] = fspl_db(out[i], frequency_hz_);
 }
 
@@ -57,7 +57,7 @@ double LogDistanceModel::path_loss_db(geom::Vec2 tx, geom::Vec2 rx) const {
 
 void LogDistanceModel::path_loss_batch(geom::Vec2 tx, const double* xs,
                                        const double* ys, int n, double* out) const {
-  util::simd::kernels().pair_distances(xs, ys, n, tx.x, tx.y, out);
+  util::kernels::pair_distances(xs, ys, n, tx.x, tx.y, out);
   for (int i = 0; i < n; ++i) {
     const double d = std::max(out[i], d0_m_);
     out[i] = pl_d0_db_ + 10.0 * exponent_ * std::log10(d / d0_m_);
@@ -75,7 +75,7 @@ double MultiWallModel::path_loss_db(geom::Vec2 tx, geom::Vec2 rx) const {
 void MultiWallModel::path_loss_batch(geom::Vec2 tx, const double* xs,
                                      const double* ys, int n, double* out) const {
   base_.path_loss_batch(tx, xs, ys, n, out);
-  // wall_loss_db itself runs the SIMD wall-classify kernel over the plan.
+  // wall_loss_db itself runs the wall-classify kernel over the plan.
   for (int i = 0; i < n; ++i) out[i] += plan_->wall_loss_db(tx, {xs[i], ys[i]});
 }
 
@@ -137,7 +137,7 @@ double ItuIndoorModel::path_loss_db(geom::Vec2 tx, geom::Vec2 rx) const {
 
 void ItuIndoorModel::path_loss_batch(geom::Vec2 tx, const double* xs,
                                      const double* ys, int n, double* out) const {
-  util::simd::kernels().pair_distances(xs, ys, n, tx.x, tx.y, out);
+  util::kernels::pair_distances(xs, ys, n, tx.x, tx.y, out);
   for (int i = 0; i < n; ++i) {
     const double d = std::max(out[i], 1.0);
     out[i] = fixed_term_db_ + n_ * std::log10(d);

@@ -21,7 +21,7 @@ class PropagationModel {
 
   /// Batch evaluation: out[i] = path loss from `tx` to (xs[i], ys[i]).
   /// Bit-identical to calling path_loss_db per point — overrides route the
-  /// distance computation through the SIMD pair-distance kernel (whose
+  /// distance computation through the pair-distance kernel (whose
   /// subtract/square/sum/sqrt sequence reproduces Vec2::dist exactly) and
   /// keep the transcendental tail scalar per point. The base implementation
   /// is a plain loop for models without a vectorized form.

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/simd/simd.h"
+#include "util/kernels.h"
 #include "util/strings.h"
 
 namespace wnet::geom {
@@ -56,7 +56,7 @@ constexpr int kClassifyChunk = 256;
 }  // namespace
 
 double FloorPlan::wall_loss_db(Vec2 a, Vec2 b) const {
-  // SIMD classify over wall chunks. Class 0/1 (all four orientations
+  // Kernel classify over wall chunks. Class 0/1 (all four orientations
   // decisively nonzero) equals segments_intersect exactly — the collinear
   // clauses there only fire when some orientation is zero — and class 2
   // falls back to the full scalar test.
@@ -66,9 +66,8 @@ double FloorPlan::wall_loss_db(Vec2 a, Vec2 b) const {
   const int n = static_cast<int>(walls_.size());
   for (int off = 0; off < n; off += kClassifyChunk) {
     const int len = std::min(kClassifyChunk, n - off);
-    util::simd::kernels().segment_classify(a.x, a.y, b.x, b.y, wax_.data() + off,
-                                           way_.data() + off, wbx_.data() + off,
-                                           wby_.data() + off, len, kCrossEps, cls);
+    util::kernels::segment_classify(a.x, a.y, b.x, b.y, wax_.data() + off, way_.data() + off,
+                                    wbx_.data() + off, wby_.data() + off, len, kCrossEps, cls);
     for (int i = 0; i < len; ++i) {
       if (cls[i] == 1 ||
           (cls[i] == 2 &&
@@ -87,9 +86,8 @@ int FloorPlan::walls_crossed(Vec2 a, Vec2 b) const {
   const int n = static_cast<int>(walls_.size());
   for (int off = 0; off < n; off += kClassifyChunk) {
     const int len = std::min(kClassifyChunk, n - off);
-    util::simd::kernels().segment_classify(a.x, a.y, b.x, b.y, wax_.data() + off,
-                                           way_.data() + off, wbx_.data() + off,
-                                           wby_.data() + off, len, kCrossEps, cls);
+    util::kernels::segment_classify(a.x, a.y, b.x, b.y, wax_.data() + off, way_.data() + off,
+                                    wbx_.data() + off, wby_.data() + off, len, kCrossEps, cls);
     for (int i = 0; i < len; ++i) {
       if (cls[i] == 1 ||
           (cls[i] == 2 &&

@@ -43,7 +43,7 @@ class FloorPlan {
   void add_wall(Wall w) {
     walls_.push_back(w);
     // Structure-of-arrays mirror of the wall endpoints/losses, kept in sync
-    // here so the crossing tests can run through the SIMD classify kernel.
+    // here so the crossing tests can run through the classify kernel.
     wax_.push_back(w.span.a.x);
     way_.push_back(w.span.a.y);
     wbx_.push_back(w.span.b.x);

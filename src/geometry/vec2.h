@@ -20,7 +20,7 @@ struct Vec2 {
   [[nodiscard]] double cross(Vec2 o) const { return x * o.y - y * o.x; }
   /// sqrt(x^2 + y^2), deliberately NOT std::hypot: sqrt is IEEE-exact on
   /// every platform while hypot's rounding varies across libm versions, and
-  /// the SIMD wall-crossing / distance kernels (util/simd) must reproduce
+  /// the wall-crossing / distance kernels (util/kernels.h) must reproduce
   /// this value bit-for-bit. Coordinates are meters, so the overflow range
   /// hypot protects against is unreachable.
   [[nodiscard]] double norm() const { return std::sqrt(x * x + y * y); }

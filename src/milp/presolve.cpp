@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <deque>
 
-#include "util/simd/simd.h"
+#include "util/kernels.h"
 
 namespace wnet::milp {
 
@@ -45,15 +45,14 @@ int tighten_row(const RowSystem& rs, int row, std::vector<double>& lb, std::vect
   const Sense sense = rs.sense[static_cast<size_t>(row)];
   const double rhs = rs.rhs[static_cast<size_t>(row)];
 
-  // Row activity bounds including every term, as the SIMD min/max kernel:
-  // with lb <= ub and a != 0 (zero coefficients are dropped at RowSystem
+  // Row activity bounds including every term, as the min/max kernel: with
+  // lb <= ub and a != 0 (zero coefficients are dropped at RowSystem
   // construction), min(a*lb, a*ub) equals the branchy a >= 0 selection
-  // bit-for-bit, and the gathered 4-lane accumulation is identical across
-  // dispatch levels.
+  // bit-for-bit; the sums follow the kernel's fixed 4-lane order.
   static_assert(sizeof(int) == sizeof(int32_t));
   double act_lo = 0.0;
   double act_hi = 0.0;
-  util::simd::kernels().row_activity(
+  util::kernels::row_activity(
       reinterpret_cast<const int32_t*>(rs.col.data()) + begin, rs.coef.data() + begin,
       end - begin, lb.data(), ub.data(), &act_lo, &act_hi);
 

@@ -5,7 +5,7 @@
 #include <random>
 #include <stdexcept>
 
-#include "util/simd/simd.h"
+#include "util/kernels.h"
 #include "util/stopwatch.h"
 
 namespace wnet::milp::simplex {
@@ -394,7 +394,7 @@ LpResult DualSimplex::run() {
     // values_[basic[pos]] -= w[pos] * step as a kernel scatter (basic
     // positions are distinct by construction).
     static_assert(sizeof(int) == sizeof(int32_t));
-    util::simd::kernels().scatter_axpy(
+    util::kernels::scatter_axpy(
         reinterpret_cast<const int32_t*>(basis_.basic.data()), w.data(), m, -step,
         values_.data());
     values_[static_cast<size_t>(q)] += step;
@@ -426,7 +426,7 @@ LpResult DualSimplex::run() {
         // guard the scalar loop used to carry is dropped — adding an exact
         // ±0 product leaves dj unchanged through every comparison
         // downstream, and the straight-line form vectorizes.
-        util::simd::kernels().dense_axpy(dj_.data(), alphas_.data(), -theta, n);
+        util::kernels::dense_axpy(dj_.data(), alphas_.data(), -theta, n);
       }
       dj_[static_cast<size_t>(q)] = 0.0;
       dj_[static_cast<size_t>(leaving_col)] = -theta;

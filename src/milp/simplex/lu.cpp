@@ -8,12 +8,13 @@
 #include <queue>
 #include <stdexcept>
 
-#include "util/simd/simd.h"
+#include "util/kernels.h"
 
 namespace wnet::milp::simplex {
 
 namespace {
-using util::simd::kernels;
+using util::kernels::gather_dot;
+using util::kernels::scatter_axpy;
 }  // namespace
 
 void BasisLu::debug_check_solve(const std::vector<double>& v) const {
@@ -92,8 +93,7 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis_col
       // the heap pops in step order regardless of push order.
       const int64_t s = l_start_[static_cast<size_t>(t)];
       const int len = static_cast<int>(l_start_[static_cast<size_t>(t) + 1] - s);
-      kernels().scatter_axpy(l_rows_.data() + s, l_vals_.data() + s, len, -xv,
-                             x.data());
+      scatter_axpy(l_rows_.data() + s, l_vals_.data() + s, len, -xv, x.data());
       for (int i = 0; i < len; ++i) {
         const int ts = pinv_[static_cast<size_t>(l_rows_[static_cast<size_t>(s + i)])];
         if (ts >= 0 && !queued[static_cast<size_t>(ts)]) {
@@ -155,7 +155,7 @@ void BasisLu::ftran(std::vector<double>& x) const {
     if (v == 0.0) continue;
     const int64_t s = l_start_[static_cast<size_t>(t)];
     const int len = static_cast<int>(l_start_[static_cast<size_t>(t) + 1] - s);
-    kernels().scatter_axpy(l_rows_.data() + s, l_vals_.data() + s, len, -v, x.data());
+    scatter_axpy(l_rows_.data() + s, l_vals_.data() + s, len, -v, x.data());
   }
   // Gather into step space.
   std::vector<double>& y = work2_;
@@ -170,7 +170,7 @@ void BasisLu::ftran(std::vector<double>& x) const {
     if (zk == 0.0) continue;
     const int64_t s = u_start_[static_cast<size_t>(k)];
     const int len = static_cast<int>(u_start_[static_cast<size_t>(k) + 1] - s);
-    kernels().scatter_axpy(u_rows_.data() + s, u_vals_.data() + s, len, -zk, y.data());
+    scatter_axpy(u_rows_.data() + s, u_vals_.data() + s, len, -zk, y.data());
   }
 
   // Un-permute columns: x[basis position q_[k]] = z[k].
@@ -183,8 +183,8 @@ void BasisLu::ftran(std::vector<double>& x) const {
     const double xr = x[static_cast<size_t>(e.pos)] / e.pivot;
     x[static_cast<size_t>(e.pos)] = xr;
     if (xr == 0.0) continue;
-    kernels().scatter_axpy(eta_rows_.data() + e.start, eta_vals_.data() + e.start,
-                           e.len, -xr, x.data());
+    scatter_axpy(eta_rows_.data() + e.start, eta_vals_.data() + e.start, e.len, -xr,
+                 x.data());
   }
 }
 
@@ -219,7 +219,7 @@ void BasisLu::ftran_unit(std::vector<double>& x, int row, double value) const {
     if (v == 0.0) continue;  // numerically cancelled
     const int64_t s = l_start_[static_cast<size_t>(t)];
     const int len = static_cast<int>(l_start_[static_cast<size_t>(t) + 1] - s);
-    kernels().scatter_axpy(l_rows_.data() + s, l_vals_.data() + s, len, -v, x.data());
+    scatter_axpy(l_rows_.data() + s, l_vals_.data() + s, len, -v, x.data());
     for (int i = 0; i < len; ++i) {
       push_step(pinv_[static_cast<size_t>(l_rows_[static_cast<size_t>(s + i)])]);
     }
@@ -241,7 +241,7 @@ void BasisLu::ftran_unit(std::vector<double>& x, int row, double value) const {
     if (zk == 0.0) continue;
     const int64_t s = u_start_[static_cast<size_t>(k)];
     const int len = static_cast<int>(u_start_[static_cast<size_t>(k) + 1] - s);
-    kernels().scatter_axpy(u_rows_.data() + s, u_vals_.data() + s, len, -zk, y.data());
+    scatter_axpy(u_rows_.data() + s, u_vals_.data() + s, len, -zk, y.data());
   }
 
   // Un-permute columns; x above was restored to all-zero, so positions past
@@ -255,19 +255,18 @@ void BasisLu::ftran_unit(std::vector<double>& x, int row, double value) const {
     const double xr = x[static_cast<size_t>(e.pos)] / e.pivot;
     x[static_cast<size_t>(e.pos)] = xr;
     if (xr == 0.0) continue;
-    kernels().scatter_axpy(eta_rows_.data() + e.start, eta_vals_.data() + e.start,
-                           e.len, -xr, x.data());
+    scatter_axpy(eta_rows_.data() + e.start, eta_vals_.data() + e.start, e.len, -xr,
+                 x.data());
   }
 }
 
 void BasisLu::btran(std::vector<double>& y) const {
   debug_check_solve(y);
   // Etas transposed, newest first: y <- E^{-T} y. The dot is the 4-lane
-  // kernel (acc = y[pos] - Σ lanes), bit-identical across dispatch levels.
+  // kernel (acc = y[pos] - Σ lanes).
   for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    const double dot = kernels().gather_dot(eta_rows_.data() + it->start,
-                                            eta_vals_.data() + it->start, it->len,
-                                            y.data());
+    const double dot = gather_dot(eta_rows_.data() + it->start, eta_vals_.data() + it->start,
+                                  it->len, y.data());
     y[static_cast<size_t>(it->pos)] = (y[static_cast<size_t>(it->pos)] - dot) / it->pivot;
   }
 
@@ -281,8 +280,7 @@ void BasisLu::btran(std::vector<double>& y) const {
   for (int k = 0; k < m_; ++k) {
     const int64_t s = u_start_[static_cast<size_t>(k)];
     const int len = static_cast<int>(u_start_[static_cast<size_t>(k) + 1] - s);
-    const double dot =
-        kernels().gather_dot(u_rows_.data() + s, u_vals_.data() + s, len, w.data());
+    const double dot = gather_dot(u_rows_.data() + s, u_vals_.data() + s, len, w.data());
     w[static_cast<size_t>(k)] =
         (w[static_cast<size_t>(k)] - dot) / u_diag_[static_cast<size_t>(k)];
   }
@@ -292,8 +290,7 @@ void BasisLu::btran(std::vector<double>& y) const {
   for (int k = m_ - 1; k >= 0; --k) {
     const int64_t s = l_start_[static_cast<size_t>(k)];
     const int len = static_cast<int>(l_start_[static_cast<size_t>(k) + 1] - s);
-    const double dot =
-        kernels().gather_dot(l_steps_.data() + s, l_vals_.data() + s, len, w.data());
+    const double dot = gather_dot(l_steps_.data() + s, l_vals_.data() + s, len, w.data());
     w[static_cast<size_t>(k)] = w[static_cast<size_t>(k)] - dot;
   }
 

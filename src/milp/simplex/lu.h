@@ -18,9 +18,8 @@ namespace wnet::milp::simplex {
 /// Storage is structure-of-arrays: L, U and the eta file each keep one flat
 /// int32 index pool and one flat double value pool with per-column start
 /// offsets (columns are built strictly in factorization order, so no
-/// capacity slack is needed). The split arrays feed the util/simd
-/// gather/scatter kernels; all solves are bit-identical across dispatch
-/// levels (see util/simd/simd.h for the lane-order contract).
+/// capacity slack is needed). The split arrays feed the gather/scatter
+/// kernels directly (see util/kernels.h for their lane-order contract).
 class BasisLu {
  public:
   /// Factorizes B = A[:, basis_cols]. Columns are pre-ordered by increasing

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/simd/simd.h"
+#include "util/kernels.h"
 
 namespace wnet::milp::simplex {
 
@@ -58,7 +58,7 @@ class ColumnView {
 /// Column-major sparse matrix in structure-of-arrays CSC form: one flat
 /// pooled int32 row-index array and one flat double value array shared by
 /// all columns, with per-column {start, len, cap} metadata. The split
-/// layout feeds the SIMD gather/scatter kernels (util/simd) directly —
+/// layout feeds the gather/scatter kernels (util/kernels.h) directly —
 /// `dot_column` is a gather-dot, `axpy_column` a scatter-axpy — and halves
 /// the bytes streamed per pricing pass vs the old interleaved
 /// Entry{int,double} layout (12 packed -> 8+4 split, no padding).
@@ -127,18 +127,16 @@ class SparseMatrix {
   [[nodiscard]] double dot_column(int j, const std::vector<double>& dense) const {
     const Col& m = meta_[static_cast<size_t>(j)];
     debug_check_bounds(m, dense.size());
-    return util::simd::kernels().gather_dot(rows_pool_.data() + m.start,
-                                            values_pool_.data() + m.start, m.len,
-                                            dense.data());
+    return util::kernels::gather_dot(rows_pool_.data() + m.start,
+                                     values_pool_.data() + m.start, m.len, dense.data());
   }
 
   /// dense += scale * column j.
   void axpy_column(int j, double scale, std::vector<double>& dense) const {
     const Col& m = meta_[static_cast<size_t>(j)];
     debug_check_bounds(m, dense.size());
-    util::simd::kernels().scatter_axpy(rows_pool_.data() + m.start,
-                                       values_pool_.data() + m.start, m.len, scale,
-                                       dense.data());
+    util::kernels::scatter_axpy(rows_pool_.data() + m.start, values_pool_.data() + m.start,
+                                m.len, scale, dense.data());
   }
 
  private:

@@ -12,7 +12,6 @@
 #include "milp/tol.h"
 #include "util/obs/json.h"
 #include "util/obs/trace.h"
-#include "util/simd/simd.h"
 #include "util/stopwatch.h"
 
 namespace wnet::milp {
@@ -237,7 +236,6 @@ class BranchAndBound {
     for (size_t i = 0; i < pool_->size(); ++i) {
       if (!pool_->fits(i, model_->num_vars())) ++stats_.cuts_dim_rejected;
     }
-    stats_.simd_level = util::simd::level_name(util::simd::active_level());
     out.stats = stats_;
     out.stats.time_s = clock_.seconds();
   }
@@ -996,7 +994,6 @@ std::string SolveStats::to_json() const {
   w.end_object();
   w.field("incumbents", incumbents);
   w.field("mip_start_used", mip_start_used);
-  w.field("simd_level", simd_level);
   w.key("incumbent_timeline").begin_array();
   for (const IncumbentEvent& e : incumbent_timeline) {
     w.begin_object();

@@ -158,11 +158,6 @@ struct SolveStats {
   bool mip_start_used = false;  ///< the supplied MIP start passed feasibility
   std::vector<IncumbentEvent> incumbent_timeline;
 
-  /// Active SIMD dispatch level ("scalar", "sse2", "avx2", "neon") recorded
-  /// at solve entry. Diagnostic only: results are bit-identical across
-  /// levels by the kernel determinism contract (see util/simd/simd.h).
-  std::string simd_level;
-
   /// Fraction of node LPs that reused an inherited basis (0 when no nodes).
   [[nodiscard]] double warm_start_hit_rate() const {
     const long total = warm_attempts + cold_solves;

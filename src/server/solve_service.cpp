@@ -369,14 +369,15 @@ void SolveService::run_request(const Pending& p) {
     if (!improved && out.chosen_k != 0) break;  // Sec. 4.3 stop rule
   }
 
-  const std::string canonical = canonical_result_json(out);
-  emit(event_result(req.id, canonical, cache_hit, reused_rungs, reused_candidates, wall.seconds(),
-                    queue_wait_s));
   // Never cache a session whose encode/solve was cut short, and don't
   // bother caching one that computed nothing (cancelled before rung 0).
+  // Checked in before `result` goes out, so a client that resubmits the
+  // key on reading it finds the session.
   if (req.use_cache && !session_dirty && !cs->rung_ks.empty()) {
     cache_.checkin(key, std::move(cs));
   }
+  emit(event_result(req.id, canonical_result_json(out), cache_hit, reused_rungs,
+                    reused_candidates, wall.seconds(), queue_wait_s));
 }
 
 }  // namespace wnet::server

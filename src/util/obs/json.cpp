@@ -160,199 +160,6 @@ std::string JsonWriter::escape(std::string_view s) {
   return out;
 }
 
-// ---------------------------------------------------- strict RFC 8259 parse
-
-namespace {
-
-/// Recursive-descent validator over the raw bytes; no value tree is built.
-class Checker {
- public:
-  explicit Checker(std::string_view s) : s_(s) {}
-
-  std::optional<std::string> run() {
-    skip_ws();
-    if (auto e = parse_value(0)) return e;
-    skip_ws();
-    if (pos_ != s_.size()) return err("trailing garbage after top-level value");
-    return std::nullopt;
-  }
-
- private:
-  static constexpr int kMaxDepth = 256;
-
-  std::optional<std::string> err(const std::string& what) const {
-    return what + " at byte " + std::to_string(pos_);
-  }
-
-  [[nodiscard]] bool eof() const { return pos_ >= s_.size(); }
-  [[nodiscard]] char peek() const { return s_[pos_]; }
-
-  void skip_ws() {
-    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' || peek() == '\r')) ++pos_;
-  }
-
-  bool consume(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  std::optional<std::string> parse_value(int depth) {
-    if (depth > kMaxDepth) return err("nesting too deep");
-    if (eof()) return err("unexpected end of input");
-    switch (peek()) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': return parse_string();
-      case 't': return consume("true") ? std::nullopt : err("invalid literal");
-      case 'f': return consume("false") ? std::nullopt : err("invalid literal");
-      case 'n': return consume("null") ? std::nullopt : err("invalid literal");
-      default: return parse_number();
-    }
-  }
-
-  std::optional<std::string> parse_object(int depth) {
-    ++pos_;  // '{'
-    skip_ws();
-    if (!eof() && peek() == '}') {
-      ++pos_;
-      return std::nullopt;
-    }
-    for (;;) {
-      skip_ws();
-      if (eof() || peek() != '"') return err("expected object key string");
-      if (auto e = parse_string()) return e;
-      skip_ws();
-      if (eof() || peek() != ':') return err("expected ':' after key");
-      ++pos_;
-      skip_ws();
-      if (auto e = parse_value(depth + 1)) return e;
-      skip_ws();
-      if (eof()) return err("unterminated object");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        return std::nullopt;
-      }
-      return err("expected ',' or '}' in object");
-    }
-  }
-
-  std::optional<std::string> parse_array(int depth) {
-    ++pos_;  // '['
-    skip_ws();
-    if (!eof() && peek() == ']') {
-      ++pos_;
-      return std::nullopt;
-    }
-    for (;;) {
-      skip_ws();
-      if (auto e = parse_value(depth + 1)) return e;
-      skip_ws();
-      if (eof()) return err("unterminated array");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        return std::nullopt;
-      }
-      return err("expected ',' or ']' in array");
-    }
-  }
-
-  std::optional<std::string> parse_string() {
-    ++pos_;  // '"'
-    while (!eof()) {
-      const auto u = static_cast<unsigned char>(peek());
-      if (u < 0x20) return err("unescaped control character in string");
-      if (peek() == '"') {
-        ++pos_;
-        return std::nullopt;
-      }
-      if (peek() == '\\') {
-        ++pos_;
-        if (eof()) return err("truncated escape");
-        const char e = peek();
-        if (e == 'u') {
-          ++pos_;
-          uint32_t cp = 0;
-          if (auto err4 = hex4(&cp)) return err4;
-          if (cp >= 0xD800 && cp <= 0xDBFF) {
-            // High surrogate: a low surrogate escape must follow.
-            if (eof() || peek() != '\\' || pos_ + 1 >= s_.size() || s_[pos_ + 1] != 'u') {
-              return err("lone high surrogate");
-            }
-            pos_ += 2;
-            uint32_t lo = 0;
-            if (auto err4 = hex4(&lo)) return err4;
-            if (lo < 0xDC00 || lo > 0xDFFF) return err("invalid low surrogate");
-          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            return err("lone low surrogate");
-          }
-          continue;
-        }
-        if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' && e != 'n' && e != 'r' &&
-            e != 't') {
-          return err("invalid escape character");
-        }
-      }
-      ++pos_;
-    }
-    return err("unterminated string");
-  }
-
-  std::optional<std::string> hex4(uint32_t* out) {
-    *out = 0;
-    for (int i = 0; i < 4; ++i, ++pos_) {
-      if (eof() || !std::isxdigit(static_cast<unsigned char>(peek()))) {
-        return err("invalid \\u escape");
-      }
-      const char c = peek();
-      const uint32_t d = (c >= '0' && c <= '9') ? static_cast<uint32_t>(c - '0')
-                                                : static_cast<uint32_t>((c | 0x20) - 'a' + 10);
-      *out = (*out << 4) | d;
-    }
-    return std::nullopt;
-  }
-
-  std::optional<std::string> parse_number() {
-    // number = [-] int [frac] [exp]; leading zeros, '+', bare '.', and the
-    // inf/nan spellings are all rejected here.
-    const auto digit = [this] { return !eof() && peek() >= '0' && peek() <= '9'; };
-    if (!eof() && peek() == '-') ++pos_;
-    if (!digit()) return err("invalid number");
-    if (peek() == '0') {
-      ++pos_;
-    } else {
-      while (digit()) ++pos_;
-    }
-    if (!eof() && peek() == '.') {
-      ++pos_;
-      if (!digit()) return err("digits required after decimal point");
-      while (digit()) ++pos_;
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (!digit()) return err("digits required in exponent");
-      while (digit()) ++pos_;
-    }
-    return std::nullopt;
-  }
-
-  std::string_view s_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::optional<std::string> json_error(std::string_view text) { return Checker(text).run(); }
-
 // ------------------------------------------------------- JsonValue / parse
 
 const JsonValue* JsonValue::find(std::string_view key) const {
@@ -387,27 +194,25 @@ bool JsonValue::get_bool(std::string_view key, bool fallback) const {
   return v != nullptr && v->is_bool() ? v->as_bool() : fallback;
 }
 
-/// Recursive-descent parser building a JsonValue tree. Mirrors Checker's
-/// grammar exactly; the two stay in lockstep so json_parse succeeds iff
-/// json_error returns nullopt.
+/// Strict RFC 8259 recursive-descent parser. With a null output it only
+/// validates (json_error); otherwise it builds the JsonValue tree
+/// (json_parse). One grammar, so json_parse succeeds iff json_error returns
+/// nullopt, and both report the same "<what> at byte N" errors.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view s) : s_(s) {}
 
-  std::optional<JsonValue> run(std::string* error) {
-    JsonValue out;
+  /// Parses exactly one top-level value into `out` (validate only if null);
+  /// returns the error, or nullopt on success.
+  std::optional<std::string> run(JsonValue* out) {
     skip_ws();
-    if (!parse_value(0, &out)) {
-      if (error != nullptr) *error = err_;
-      return std::nullopt;
-    }
+    if (!parse_value(0, out)) return err_;
     skip_ws();
     if (pos_ != s_.size()) {
       set_err("trailing garbage after top-level value");
-      if (error != nullptr) *error = err_;
-      return std::nullopt;
+      return err_;
     }
-    return out;
+    return std::nullopt;
   }
 
  private:
@@ -425,12 +230,6 @@ class JsonParser {
     while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' || peek() == '\r')) ++pos_;
   }
 
-  bool consume(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
   bool parse_value(int depth, JsonValue* out) {
     if (depth > kMaxDepth) return set_err("nesting too deep");
     if (eof()) return set_err("unexpected end of input");
@@ -438,28 +237,27 @@ class JsonParser {
       case '{': return parse_object(depth, out);
       case '[': return parse_array(depth, out);
       case '"':
-        out->kind_ = JsonValue::Kind::kString;
-        return parse_string(&out->str_);
-      case 't':
-        if (!consume("true")) return set_err("invalid literal");
-        out->kind_ = JsonValue::Kind::kBool;
-        out->bool_ = true;
-        return true;
-      case 'f':
-        if (!consume("false")) return set_err("invalid literal");
-        out->kind_ = JsonValue::Kind::kBool;
-        out->bool_ = false;
-        return true;
-      case 'n':
-        if (!consume("null")) return set_err("invalid literal");
-        out->kind_ = JsonValue::Kind::kNull;
-        return true;
+        if (out != nullptr) out->kind_ = JsonValue::Kind::kString;
+        return parse_string(out != nullptr ? &out->str_ : nullptr);
+      case 't': return parse_literal("true", JsonValue::Kind::kBool, true, out);
+      case 'f': return parse_literal("false", JsonValue::Kind::kBool, false, out);
+      case 'n': return parse_literal("null", JsonValue::Kind::kNull, false, out);
       default: return parse_number(out);
     }
   }
 
+  bool parse_literal(std::string_view lit, JsonValue::Kind kind, bool value, JsonValue* out) {
+    if (s_.substr(pos_, lit.size()) != lit) return set_err("invalid literal");
+    pos_ += lit.size();
+    if (out != nullptr) {
+      out->kind_ = kind;
+      out->bool_ = value;
+    }
+    return true;
+  }
+
   bool parse_object(int depth, JsonValue* out) {
-    out->kind_ = JsonValue::Kind::kObject;
+    if (out != nullptr) out->kind_ = JsonValue::Kind::kObject;
     ++pos_;  // '{'
     skip_ws();
     if (!eof() && peek() == '}') {
@@ -470,14 +268,14 @@ class JsonParser {
       skip_ws();
       if (eof() || peek() != '"') return set_err("expected object key string");
       std::string key;
-      if (!parse_string(&key)) return false;
+      if (!parse_string(out != nullptr ? &key : nullptr)) return false;
       skip_ws();
       if (eof() || peek() != ':') return set_err("expected ':' after key");
       ++pos_;
       skip_ws();
       JsonValue member;
-      if (!parse_value(depth + 1, &member)) return false;
-      out->members_.emplace_back(std::move(key), std::move(member));
+      if (!parse_value(depth + 1, out != nullptr ? &member : nullptr)) return false;
+      if (out != nullptr) out->members_.emplace_back(std::move(key), std::move(member));
       skip_ws();
       if (eof()) return set_err("unterminated object");
       if (peek() == ',') {
@@ -493,7 +291,7 @@ class JsonParser {
   }
 
   bool parse_array(int depth, JsonValue* out) {
-    out->kind_ = JsonValue::Kind::kArray;
+    if (out != nullptr) out->kind_ = JsonValue::Kind::kArray;
     ++pos_;  // '['
     skip_ws();
     if (!eof() && peek() == ']') {
@@ -503,8 +301,8 @@ class JsonParser {
     for (;;) {
       skip_ws();
       JsonValue item;
-      if (!parse_value(depth + 1, &item)) return false;
-      out->items_.push_back(std::move(item));
+      if (!parse_value(depth + 1, out != nullptr ? &item : nullptr)) return false;
+      if (out != nullptr) out->items_.push_back(std::move(item));
       skip_ws();
       if (eof()) return set_err("unterminated array");
       if (peek() == ',') {
@@ -552,9 +350,10 @@ class JsonParser {
     return true;
   }
 
+  /// Decodes into `out` when non-null.
   bool parse_string(std::string* out) {
     ++pos_;  // '"'
-    out->clear();
+    if (out != nullptr) out->clear();
     while (!eof()) {
       const auto u = static_cast<unsigned char>(peek());
       if (u < 0x20) return set_err("unescaped control character in string");
@@ -562,45 +361,40 @@ class JsonParser {
         ++pos_;
         return true;
       }
-      if (peek() == '\\') {
+      if (peek() != '\\') {
+        if (out != nullptr) out->push_back(peek());
         ++pos_;
-        if (eof()) return set_err("truncated escape");
-        const char e = peek();
-        ++pos_;
-        switch (e) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            uint32_t cp = 0;
-            if (!parse_hex4(&cp)) return false;
-            if (cp >= 0xD800 && cp <= 0xDBFF) {
-              // High surrogate: must be followed by \uDC00..\uDFFF.
-              if (eof() || peek() != '\\' || pos_ + 1 >= s_.size() || s_[pos_ + 1] != 'u') {
-                return set_err("lone high surrogate");
-              }
-              pos_ += 2;
-              uint32_t lo = 0;
-              if (!parse_hex4(&lo)) return false;
-              if (lo < 0xDC00 || lo > 0xDFFF) return set_err("invalid low surrogate");
-              cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-            } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-              return set_err("lone low surrogate");
-            }
-            append_utf8(out, cp);
-            break;
-          }
-          default: return set_err("invalid escape character");
-        }
         continue;
       }
-      out->push_back(peek());
       ++pos_;
+      if (eof()) return set_err("truncated escape");
+      const char e = peek();
+      if (e != 'u') {
+        static constexpr std::string_view kEscapes = "\"\\/bfnrt";
+        static constexpr std::string_view kDecoded = "\"\\/\b\f\n\r\t";
+        const size_t k = kEscapes.find(e);
+        if (k == std::string_view::npos) return set_err("invalid escape character");
+        if (out != nullptr) out->push_back(kDecoded[k]);
+        ++pos_;
+        continue;
+      }
+      ++pos_;
+      uint32_t cp = 0;
+      if (!parse_hex4(&cp)) return false;
+      if (cp >= 0xD800 && cp <= 0xDBFF) {
+        // High surrogate: must be followed by \uDC00..\uDFFF.
+        if (eof() || peek() != '\\' || pos_ + 1 >= s_.size() || s_[pos_ + 1] != 'u') {
+          return set_err("lone high surrogate");
+        }
+        pos_ += 2;
+        uint32_t lo = 0;
+        if (!parse_hex4(&lo)) return false;
+        if (lo < 0xDC00 || lo > 0xDFFF) return set_err("invalid low surrogate");
+        cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+      } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+        return set_err("lone low surrogate");
+      }
+      if (out != nullptr) append_utf8(out, cp);
     }
     return set_err("unterminated string");
   }
@@ -626,6 +420,7 @@ class JsonParser {
       if (!digit()) return set_err("digits required in exponent");
       while (digit()) ++pos_;
     }
+    if (out == nullptr) return true;
     out->kind_ = JsonValue::Kind::kNumber;
     double v = 0.0;
     const char* first = s_.data() + start;
@@ -643,8 +438,16 @@ class JsonParser {
   std::string err_;
 };
 
+std::optional<std::string> json_error(std::string_view text) {
+  return JsonParser(text).run(nullptr);
+}
+
 std::optional<JsonValue> json_parse(std::string_view text, std::string* error) {
-  return JsonParser(text).run(error);
+  JsonValue out;
+  std::optional<std::string> err = JsonParser(text).run(&out);
+  if (!err) return out;
+  if (error != nullptr) *error = std::move(*err);
+  return std::nullopt;
 }
 
 }  // namespace wnet::util::obs

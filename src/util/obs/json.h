@@ -111,7 +111,8 @@ class JsonWriter {
 /// one valid JSON value (plus surrounding whitespace), or a human-readable
 /// error with byte offset otherwise. Rejects everything Python's json.tool
 /// rejects: bare inf/nan, trailing commas, single quotes, leading zeros,
-/// unescaped control characters, trailing garbage.
+/// unescaped control characters, trailing garbage. Runs json_parse()'s
+/// parser without building a tree, so the two report the same errors.
 [[nodiscard]] std::optional<std::string> json_error(std::string_view text);
 
 [[nodiscard]] inline bool json_valid(std::string_view text) {

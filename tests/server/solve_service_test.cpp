@@ -3,7 +3,8 @@
 //     1/2/4/8 worker threads and across cache states (serial reference vs
 //     concurrent, cold vs warm);
 //   - a duplicated request answers from the session cache with the same
-//     canonical result and strictly lower wall clock;
+//     canonical result and strictly lower wall clock, also when it is sent
+//     the moment the first request's result is read;
 //   - admission control rejects queue overflow and duplicate ids with
 //     structured events, and cancel-by-id yields a deterministic partial
 //     result without disturbing concurrent requests;
@@ -12,10 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "channel/propagation.h"
@@ -190,6 +193,53 @@ TEST_F(SolveServiceTest, DuplicateRequestAnswersFromCacheFasterWithIdenticalResu
   const std::optional<JsonValue> rung = out.event("rung", "warm");
   ASSERT_TRUE(rung.has_value());
   EXPECT_TRUE(rung->get_bool("cache_hit", false));
+}
+
+TEST_F(SolveServiceTest, SessionIsCachedBeforeItsResultIsEmitted) {
+  // A client that sends the same key the moment it reads `result` must hit
+  // the cache. The sink runs under the service's emit lock, so it calls
+  // nothing on the service itself: on the cold result it starts a client
+  // thread that snapshots the cache stats and resubmits the key, and holds
+  // the emitting worker until the snapshot is taken.
+  Collector out;
+  const EventSink record = out.sink();
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  SolveService* svc_ptr = nullptr;
+  std::string stats_at_result;
+  std::thread resubmit;
+  SolveService svc(registry_, cfg, [&](const std::string& line) {
+    record(line);
+    const std::optional<JsonValue> v = json_parse(line);
+    if (v && v->get_string("event", "") == "result" && v->get_string("id", "") == "cold") {
+      std::promise<std::string> snapshot;
+      std::future<std::string> taken = snapshot.get_future();
+      resubmit = std::thread([svc_ptr, snapshot = std::move(snapshot)]() mutable {
+        snapshot.set_value(svc_ptr->stats_json());
+        svc_ptr->submit(solve_request("warm", {1, 3}));
+      });
+      stats_at_result = taken.get();
+    }
+  });
+  svc_ptr = &svc;
+  ASSERT_TRUE(svc.submit(solve_request("cold", {1, 3})));
+  svc.wait_idle();
+  ASSERT_TRUE(resubmit.joinable());
+  resubmit.join();
+  svc.wait_idle();
+  svc.shutdown();
+
+  const std::optional<JsonValue> stats = json_parse(stats_at_result);
+  ASSERT_TRUE(stats.has_value()) << stats_at_result;
+  const JsonValue* cache = stats->find("cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->get_number("entries", -1.0), 1.0) << stats_at_result;
+
+  const std::optional<JsonValue> warm = out.event("result", "warm");
+  ASSERT_TRUE(warm.has_value());
+  EXPECT_TRUE(warm->get_bool("cache_hit", false));
+  EXPECT_EQ(warm->get_number("reused_rungs", 0.0), 2.0);
+  EXPECT_EQ(out.canonical_of("warm"), out.canonical_of("cold"));
 }
 
 TEST_F(SolveServiceTest, ExtendedLadderResumesFromCachedPrefix) {
