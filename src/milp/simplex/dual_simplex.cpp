@@ -12,19 +12,41 @@ namespace wnet::milp::simplex {
 
 DualSimplex::DualSimplex(const StandardLp& lp, LpOptions opts) : lp_(&lp), opts_(opts) {}
 
+LuStats& LuStats::operator+=(const LuStats& o) {
+  cold += o.cold;
+  node_switch += o.node_switch;
+  interval += o.interval;
+  update_rejected += o.update_rejected;
+  stale_retry += o.stale_retry;
+  factorizations += o.factorizations;
+  factor_s += o.factor_s;
+  return *this;
+}
+
+LuStats DualSimplex::lu_stats() const {
+  LuStats s = lu_stats_;
+  s.factorizations = lu_.factorize_calls();
+  return s;
+}
+
 void DualSimplex::reset_costs() {
-  cost_ = lp_->c();
-  perturbed_ = false;
-  if (!opts_.perturb) return;
-  // Deterministic jitter, large against dual_tol but invisible in the
-  // objective (the exact costs are restored before termination).
-  std::mt19937 rng(0x5eedu);
-  std::uniform_real_distribution<double> u(0.5, 1.5);
-  for (double& c : cost_) {
-    const double eps = 1e-6 * (1.0 + std::abs(c)) * u(rng);
-    c += (rng() & 1) != 0u ? eps : -eps;
+  perturbed_ = opts_.perturb;
+  if (!opts_.perturb) {
+    cost_ = lp_->c();
+    return;
   }
-  perturbed_ = true;
+  if (jittered_.size() != lp_->c().size()) {
+    // Deterministic jitter, large against dual_tol but invisible in the
+    // objective (the exact costs are restored before termination).
+    jittered_ = lp_->c();
+    std::mt19937 rng(0x5eedu);
+    std::uniform_real_distribution<double> u(0.5, 1.5);
+    for (double& c : jittered_) {
+      const double eps = 1e-6 * (1.0 + std::abs(c)) * u(rng);
+      c += (rng() & 1) != 0u ? eps : -eps;
+    }
+  }
+  cost_ = jittered_;
 }
 
 double DualSimplex::violation(int j, double v) const {
@@ -113,8 +135,17 @@ void DualSimplex::repair_nonbasic_statuses() {
   }
 }
 
-bool DualSimplex::refactorize() {
+bool DualSimplex::refactorize(FactorCause cause) {
+  switch (cause) {
+    case FactorCause::kCold: ++lu_stats_.cold; break;
+    case FactorCause::kNodeSwitch: ++lu_stats_.node_switch; break;
+    case FactorCause::kInterval: ++lu_stats_.interval; break;
+    case FactorCause::kUpdateRejected: ++lu_stats_.update_rejected; break;
+    case FactorCause::kStaleRetry: ++lu_stats_.stale_retry; break;
+  }
+  const util::Stopwatch sw;
   lu_valid_ = lu_.factorize(lp_->a(), basis_.basic);
+  lu_stats_.factor_s += sw.seconds();
   return lu_valid_;
 }
 
@@ -154,7 +185,7 @@ LpResult DualSimplex::solve() {
   info_ = {};
   reset_costs();
   start_from_slack_basis();
-  if (!refactorize()) {
+  if (!refactorize(FactorCause::kCold)) {
     // The slack basis is the identity; failure here is impossible unless
     // the instance is malformed.
     LpResult res;
@@ -172,7 +203,7 @@ LpResult DualSimplex::solve_from(const Basis& basis) {
   // when the caller's basis matches (the common branch-and-bound case).
   const bool same_basis = lu_valid_ && basis.basic == basis_.basic;
   install_basis(basis);
-  if (!same_basis && !refactorize()) {
+  if (!same_basis && !refactorize(FactorCause::kNodeSwitch)) {
     // Clean cold fallback: the inherited basis is numerically unusable.
     LpResult res = solve();
     info_.refactor_fallback = true;
@@ -326,7 +357,9 @@ LpResult DualSimplex::run() {
         }
         // Stale LU updates: the bans may have been spurious; retry from an
         // exact factorization.
-        if (!refactorize()) return finish(LpStatus::kNumericalTrouble, iter);
+        if (!refactorize(FactorCause::kStaleRetry)) {
+          return finish(LpStatus::kNumericalTrouble, iter);
+        }
         recompute_basics();
         compute_duals();
         continue;
@@ -382,7 +415,9 @@ LpResult DualSimplex::run() {
         continue;
       }
       // Stale LU updates: refactorize and retry the iteration.
-      if (!refactorize()) return finish(LpStatus::kNumericalTrouble, iter);
+      if (!refactorize(FactorCause::kStaleRetry)) {
+        return finish(LpStatus::kNumericalTrouble, iter);
+      }
       recompute_basics();
       compute_duals();
       continue;
@@ -411,8 +446,11 @@ LpResult DualSimplex::run() {
     banned_.clear();
     banned_rows_.clear();
 
-    if (lu_.num_updates() >= opts_.refactor_interval || !lu_.update(r, w)) {
-      if (!refactorize()) return finish(LpStatus::kNumericalTrouble, iter);
+    const bool at_interval = lu_.num_updates() >= opts_.refactor_interval;
+    if (at_interval || !lu_.update(r, w)) {
+      if (!refactorize(at_interval ? FactorCause::kInterval : FactorCause::kUpdateRejected)) {
+        return finish(LpStatus::kNumericalTrouble, iter);
+      }
       recompute_basics();
       compute_duals();  // fresh duals at every refactorization
     } else {

@@ -64,6 +64,20 @@ struct SolveInfo {
   bool refactor_fallback = false;  ///< warm basis refused to factorize; fell back cold
 };
 
+/// Always-on factorization counters of one engine: refactorizations by
+/// cause, and the time spent inside BasisLu::factorize.
+struct LuStats {
+  long cold = 0;             ///< solve() from the slack basis
+  long node_switch = 0;      ///< solve_from() on a basis other than the factored one
+  long interval = 0;         ///< refactor_interval eta updates reached
+  long update_rejected = 0;  ///< BasisLu::update refused the pivot
+  long stale_retry = 0;      ///< run() retried from a fresh factorization (stale etas)
+  long factorizations = 0;   ///< BasisLu::factorize calls; the causes sum to this
+  double factor_s = 0.0;     ///< wall time inside BasisLu::factorize
+
+  LuStats& operator+=(const LuStats& o);
+};
+
 /// Bounded-variable dual simplex.
 ///
 /// Because every column is bounded (infinities are clamped by StandardLp),
@@ -98,6 +112,9 @@ class DualSimplex {
   /// Start-mode telemetry for the most recent solve()/solve_from()/resolve().
   [[nodiscard]] const SolveInfo& last_solve_info() const { return info_; }
 
+  /// Factorization counters accumulated over this engine's lifetime.
+  [[nodiscard]] LuStats lu_stats() const;
+
   /// Solves again after external bound changes, reusing the current basis
   /// AND its factorization (cheapest path for branch-and-bound plunging).
   LpResult resolve();
@@ -107,7 +124,8 @@ class DualSimplex {
   void install_basis(const Basis& basis);
   /// Repairs dual feasibility of nonbasic statuses by bound flips.
   void repair_nonbasic_statuses();
-  bool refactorize();
+  enum class FactorCause { kCold, kNodeSwitch, kInterval, kUpdateRejected, kStaleRetry };
+  bool refactorize(FactorCause cause);
   void recompute_basics();
   void compute_duals();
   LpResult run();
@@ -130,8 +148,12 @@ class DualSimplex {
   std::vector<double> dj_;      ///< reduced costs, per column
   std::vector<char> in_basis_;  ///< fast basic-membership flag
   std::vector<double> cost_;    ///< working costs (perturbed while active)
+  /// Jittered costs, drawn once per column count (StandardLp::add_row only
+  /// appends a zero-cost slack; the costs are otherwise immutable).
+  std::vector<double> jittered_;
   bool perturbed_ = false;      ///< true while cost_ != exact costs
   SolveInfo info_;              ///< start mode of the most recent solve
+  LuStats lu_stats_;            ///< refactorization causes and factorize time
 
   /// Per-iteration scratch (kept as members to avoid reallocation).
   struct RatioCandidate {

@@ -4,9 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <functional>
-#include <numeric>
-#include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "util/kernels.h"
 
@@ -28,58 +27,79 @@ void BasisLu::debug_check_solve(const std::vector<double>& v) const {
 
 bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis_cols,
                         double singular_tol) {
+  ++factorize_calls_;
   m_ = static_cast<int>(basis_cols.size());
   if (a.num_rows() != m_) throw std::invalid_argument("BasisLu: basis must be square");
+  const size_t m = static_cast<size_t>(m_);
 
   l_rows_.clear();
   l_vals_.clear();
   l_steps_.clear();
-  l_start_.assign(static_cast<size_t>(m_) + 1, 0);
+  l_start_.assign(m + 1, 0);
   u_rows_.clear();
   u_vals_.clear();
-  u_start_.assign(static_cast<size_t>(m_) + 1, 0);
-  u_diag_.assign(static_cast<size_t>(m_), 0.0);
-  p_.assign(static_cast<size_t>(m_), -1);
-  pinv_.assign(static_cast<size_t>(m_), -1);
-  q_.resize(static_cast<size_t>(m_));
+  u_start_.assign(m + 1, 0);
+  u_diag_.assign(m, 0.0);
+  p_.assign(m, -1);
+  pinv_.assign(m, -1);
+  q_.resize(m);
   etas_.clear();
   eta_rows_.clear();
   eta_vals_.clear();
-  work_.assign(static_cast<size_t>(m_), 0.0);
-  work2_.assign(static_cast<size_t>(m_), 0.0);
+  work2_.assign(m, 0.0);
+  // work_, queued_ and mark_ are self-cleaning (every entry set is reset
+  // before factorize or ftran_unit returns), so only (re)size them here.
+  if (work_.size() != m) work_.assign(m, 0.0);
+  if (queued_.size() != m) queued_.assign(m, 0);
+  if (mark_.size() != m) mark_.assign(m, 0);
+  heap_.clear();
 
-  // Column pre-ordering by nonzero count (cheap fill reduction).
-  std::iota(q_.begin(), q_.end(), 0);
-  std::sort(q_.begin(), q_.end(), [&](int x, int y) {
-    const size_t nx = a.column(basis_cols[static_cast<size_t>(x)]).size();
-    const size_t ny = a.column(basis_cols[static_cast<size_t>(y)]).size();
-    if (nx != ny) return nx < ny;
-    return x < y;
-  });
+  // Column pre-ordering by nonzero count (cheap fill reduction): a stable
+  // counting sort, i.e. count ascending, then basis position ascending.
+  const auto nnz = [&](size_t k) { return a.column(basis_cols[k]).size(); };
+  size_t max_nnz = 0;
+  for (size_t k = 0; k < m; ++k) max_nnz = std::max(max_nnz, nnz(k));
+  bucket_.assign(max_nnz + 1, 0);
+  for (size_t k = 0; k < m; ++k) ++bucket_[nnz(k)];
+  size_t next = 0;
+  for (size_t& b : bucket_) next += std::exchange(b, next);
+  for (size_t k = 0; k < m; ++k) q_[bucket_[nnz(k)]++] = static_cast<int>(k);
 
   std::vector<double>& x = work_;
   // Min-heap of pivot steps whose rows currently hold nonzeros; drives the
-  // left-looking elimination in topological (step) order so the work is
-  // proportional to actual fill, not O(m) per column.
-  std::priority_queue<int, std::vector<int>, std::greater<>> steps;
-  std::vector<char> queued(static_cast<size_t>(m_), 0);
+  // left-looking elimination in topological (step) order. pattern_ lists
+  // every row written for the current column (mark_ flags membership), so
+  // pivot search, L extraction and cleanup touch only those rows: the work
+  // per column is proportional to its fill, not O(m).
+  const auto push_step = [&](int t) {
+    if (t >= 0 && !queued_[static_cast<size_t>(t)]) {
+      queued_[static_cast<size_t>(t)] = 1;
+      heap_.push_back(t);
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+    }
+  };
+  const auto touch_row = [&](int row) {
+    if (!mark_[static_cast<size_t>(row)]) {
+      mark_[static_cast<size_t>(row)] = 1;
+      pattern_.push_back(row);
+    }
+  };
 
   for (int k = 0; k < m_; ++k) {
+    pattern_.clear();
     // Scatter the k-th factored column and enqueue already-pivoted rows.
     for (const Entry& e :
          a.column(basis_cols[static_cast<size_t>(q_[static_cast<size_t>(k)])])) {
       x[static_cast<size_t>(e.row)] = e.value;
-      const int t = pinv_[static_cast<size_t>(e.row)];
-      if (t >= 0 && !queued[static_cast<size_t>(t)]) {
-        queued[static_cast<size_t>(t)] = 1;
-        steps.push(t);
-      }
+      touch_row(e.row);
+      push_step(pinv_[static_cast<size_t>(e.row)]);
     }
 
-    while (!steps.empty()) {
-      const int t = steps.top();
-      steps.pop();
-      queued[static_cast<size_t>(t)] = 0;
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+      const int t = heap_.back();
+      heap_.pop_back();
+      queued_[static_cast<size_t>(t)] = 0;
       const int prow = p_[static_cast<size_t>(t)];
       const double xv = x[static_cast<size_t>(prow)];
       x[static_cast<size_t>(prow)] = 0.0;  // consumed into U
@@ -87,37 +107,40 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis_col
       u_rows_.push_back(t);
       u_vals_.push_back(xv);
       // Eliminate with L column t: x -= xv * L_t (kernel scatter — row
-      // indices within a column are distinct), then enqueue newly reached
-      // pivoted rows. Splitting the original fused loop is exact: the
-      // enqueue tests depend only on pinv_/queued, never on x values, and
-      // the heap pops in step order regardless of push order.
+      // indices within a column are distinct), then record the written rows
+      // and enqueue newly reached pivoted ones. The bookkeeping depends only
+      // on pinv_/queued_/mark_, never on x values, and the heap pops in step
+      // order regardless of push order.
       const int64_t s = l_start_[static_cast<size_t>(t)];
       const int len = static_cast<int>(l_start_[static_cast<size_t>(t) + 1] - s);
       scatter_axpy(l_rows_.data() + s, l_vals_.data() + s, len, -xv, x.data());
       for (int i = 0; i < len; ++i) {
-        const int ts = pinv_[static_cast<size_t>(l_rows_[static_cast<size_t>(s + i)])];
-        if (ts >= 0 && !queued[static_cast<size_t>(ts)]) {
-          queued[static_cast<size_t>(ts)] = 1;
-          steps.push(ts);
-        }
+        const int row = l_rows_[static_cast<size_t>(s + i)];
+        touch_row(row);
+        push_step(pinv_[static_cast<size_t>(row)]);
       }
     }
     u_start_[static_cast<size_t>(k) + 1] = static_cast<int64_t>(u_rows_.size());
 
-    // Partial pivoting over not-yet-pivoted rows.
+    // Partial pivoting over the not-yet-pivoted rows of the pattern (rows
+    // outside it hold exact zeros). Same rule as an ascending dense scan:
+    // max |x|, lowest row on ties, never 0 or NaN.
     int pivot_row = -1;
     double best = 0.0;
-    for (int i = 0; i < m_; ++i) {
+    for (const int i : pattern_) {
       if (pinv_[static_cast<size_t>(i)] >= 0) continue;
       const double v = std::abs(x[static_cast<size_t>(i)]);
-      if (v > best) {
+      if (v > best || (v == best && v > 0 && i < pivot_row)) {
         best = v;
         pivot_row = i;
       }
     }
     if (pivot_row < 0 || best < singular_tol) {
       // Clean scratch before reporting singularity.
-      for (int i = 0; i < m_; ++i) x[static_cast<size_t>(i)] = 0.0;
+      for (const int i : pattern_) {
+        x[static_cast<size_t>(i)] = 0.0;
+        mark_[static_cast<size_t>(i)] = 0;
+      }
       return false;
     }
 
@@ -127,7 +150,12 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis_col
     u_diag_[static_cast<size_t>(k)] = pivot;
     x[static_cast<size_t>(pivot_row)] = 0.0;
 
-    for (int i = 0; i < m_; ++i) {
+    // L column in ascending row order, as the dense scan produced it:
+    // btran() gathers it with the 4-lane gather_dot, whose summation order
+    // follows entry order.
+    std::sort(pattern_.begin(), pattern_.end());
+    for (const int i : pattern_) {
+      mark_[static_cast<size_t>(i)] = 0;
       const double v = x[static_cast<size_t>(i)];
       if (v == 0.0) continue;
       x[static_cast<size_t>(i)] = 0.0;

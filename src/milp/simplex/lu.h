@@ -20,11 +20,22 @@ namespace wnet::milp::simplex {
 /// offsets (columns are built strictly in factorization order, so no
 /// capacity slack is needed). The split arrays feed the gather/scatter
 /// kernels directly (see util/kernels.h for their lane-order contract).
+///
+/// Bitwise contract: the factors are a pure function of the basis columns.
+/// The pivot of each column is the not-yet-pivoted row of largest |x|, the
+/// lowest such row on ties, and never an exact 0 or a NaN. The entries of
+/// every L column are stored in ascending row order. That order matters:
+/// btran() reduces each L column with the 4-lane gather_dot, whose lane
+/// assignment and summation order follow entry order, so a permuted column
+/// gives a different roundoff. factorize() visits only the rows a column
+/// actually writes, and sorts them, so it reproduces exactly the factors of
+/// an ascending dense scan over all m rows.
 class BasisLu {
  public:
   /// Factorizes B = A[:, basis_cols]. Columns are pre-ordered by increasing
-  /// nonzero count to curb fill-in. Returns false if the basis is singular
-  /// (pivot below `singular_tol`).
+  /// nonzero count (ties by basis position) to curb fill-in. Returns false
+  /// if the basis is singular (pivot below `singular_tol`). Costs the
+  /// basis' fill plus O(m); it allocates only when m or the fill grows.
   bool factorize(const SparseMatrix& a, const std::vector<int>& basis_cols,
                  double singular_tol = 1e-10);
 
@@ -53,6 +64,8 @@ class BasisLu {
   bool update(int pos, const std::vector<double>& w, double pivot_tol = 1e-9);
 
   [[nodiscard]] int num_updates() const { return static_cast<int>(etas_.size()); }
+  /// Number of factorize() calls over this object's lifetime.
+  [[nodiscard]] long factorize_calls() const { return factorize_calls_; }
   [[nodiscard]] int dim() const { return m_; }
 
   /// Total nonzeros in L + U + etas (refactorization trigger heuristic).
@@ -71,6 +84,7 @@ class BasisLu {
   void debug_check_solve(const std::vector<double>& v) const;
 
   int m_ = 0;
+  long factorize_calls_ = 0;
   // L: column t holds entries (original row i, value) with pinv_[i] > t;
   // implicit unit diagonal at row p_[t]. l_steps_ mirrors l_rows_ mapped
   // through pinv_ (filled once factorization completes) so the BTRAN L^T
@@ -94,9 +108,16 @@ class BasisLu {
 
   mutable std::vector<double> work_;   ///< dense scratch, size m
   mutable std::vector<double> work2_;  ///< dense scratch, size m
-  mutable std::vector<int> heap_;      ///< pending-step min-heap (ftran_unit)
+  mutable std::vector<int> heap_;      ///< pending-step min-heap (factorize, ftran_unit)
   mutable std::vector<int> touched_;   ///< steps reached by the forward pass
   mutable std::vector<char> queued_;   ///< step already in heap_, size m
+  std::vector<int> pattern_;           ///< rows written for the current column (factorize)
+  std::vector<char> mark_;             ///< row already in pattern_, size m
+  std::vector<size_t> bucket_;         ///< counting-sort offsets by nonzero count
+
+  /// Test-only access to the factors, so a reference factorization can be
+  /// installed and compared bit for bit.
+  friend struct BasisLuTestAccess;
 };
 
 }  // namespace wnet::milp::simplex

@@ -237,7 +237,15 @@ class BranchAndBound {
       if (!pool_->fits(i, model_->num_vars())) ++stats_.cuts_dim_rejected;
     }
     out.stats = stats_;
+    if (engine_) out.stats.lu += engine_->lu_stats();
     out.stats.time_s = clock_.seconds();
+  }
+
+  /// Drops the simplex engine (its structures or budget went stale), first
+  /// folding its factorization counters into the solve's.
+  void retire_engine() {
+    if (engine_) stats_.lu += engine_->lu_stats();
+    engine_.reset();
   }
 
   SolveStats stats_;
@@ -346,7 +354,7 @@ int BranchAndBound::separate(const std::vector<double>& x, int depth, bool integ
     lp_.add_row(pool_->terms(idx), pool_->sense(idx), pool_->rhs(idx));
   }
   if (!picked.empty()) {
-    engine_.reset();  // dims grew: stale structures/LU; solve_lp rebuilds
+    retire_engine();  // dims grew: stale structures/LU; solve_lp rebuilds
     if (opts_.exec.budget != nullptr &&
         !opts_.exec.budget->charge_encode_rows(static_cast<long>(picked.size()))) {
       separation_budget_out_ = true;
@@ -409,6 +417,7 @@ LpResult BranchAndBound::solve_lp(const Basis* basis) {
     }
     retry.max_iters *= 10;
     retry.time_limit_s = remaining_s();
+    retire_engine();
     engine_ = std::make_unique<DualSimplex>(lp_, retry);
     escalated = true;
     res = engine_->solve();
@@ -977,6 +986,15 @@ std::string SolveStats::to_json() const {
   w.field("warm_fallbacks", warm_fallbacks);
   w.field("cold_solves", cold_solves);
   w.number_field("warm_start_hit_rate", warm_start_hit_rate());
+  w.key("lu").begin_object();
+  w.field("factorizations", lu.factorizations);
+  w.field("cold", lu.cold);
+  w.field("node_switch", lu.node_switch);
+  w.field("interval", lu.interval);
+  w.field("update_rejected", lu.update_rejected);
+  w.field("stale_retry", lu.stale_retry);
+  w.number_field("factor_s", lu.factor_s);
+  w.end_object();
   w.field("propagation_tightenings", propagation_tightenings);
   w.field("propagation_prunes", propagation_prunes);
   w.field("pseudocost_branches", pseudocost_branches);

@@ -134,6 +134,10 @@ struct SolveStats {
   long warm_fallbacks = 0;   ///< warm starts that fell back cold (refactorization failed)
   long cold_solves = 0;      ///< node LPs deliberately started from scratch
 
+  /// Basis factorizations by cause and time inside the factorization,
+  /// summed over every simplex engine the solve built.
+  simplex::LuStats lu;
+
   // Bound propagation.
   long propagation_tightenings = 0;  ///< integer bounds tightened across all nodes
   long propagation_prunes = 0;       ///< nodes pruned infeasible before any LP

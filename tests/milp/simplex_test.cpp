@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
+#include <string>
+
 #include "milp/model.h"
 #include "milp/simplex/standard_lp.h"
 
@@ -183,6 +187,117 @@ TEST(DualSimplex, MediumRandomLpMatchesActivityBounds) {
   // Check primal feasibility of the returned point.
   std::vector<double> xs(res.x.begin(), res.x.begin() + 12);
   EXPECT_TRUE(m.is_feasible(xs, 1e-6));
+}
+
+/// Random LP: 8 columns in [0, 4], 6 mixed-sign rows, seeded costs from
+/// {-2, -1, 0} — tied costs and alternative optima, so the pivot path and
+/// the optimal vertex both depend on the cost jitter.
+Model random_lp(unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> coef(-3, 3);
+  std::uniform_int_distribution<int> cost(-2, 0);
+  Model m;
+  std::vector<Var> v;
+  LinExpr obj;
+  for (int j = 0; j < 8; ++j) {
+    v.push_back(m.add_continuous("x" + std::to_string(j), 0.0, 4.0));
+    obj += static_cast<double>(cost(rng)) * LinExpr(v.back());
+  }
+  m.minimize(std::move(obj));
+  for (int r = 0; r < 6; ++r) {
+    LinExpr e;
+    for (const Var& x : v) e += static_cast<double>(coef(rng)) * LinExpr(x);
+    if (r % 2 == 0) {
+      m.add_le(std::move(e), 6.0);
+    } else {
+      m.add_ge(std::move(e), -6.0);
+    }
+  }
+  return m;
+}
+
+void expect_bitwise_equal(const LpResult& got, const LpResult& want, const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.x, want.x);
+  EXPECT_EQ(got.objective, want.objective);
+  EXPECT_EQ(got.iterations, want.iterations);
+}
+
+void expect_causes_sum_to_factorizations(const LuStats& s) {
+  EXPECT_EQ(s.cold + s.node_switch + s.interval + s.update_rejected + s.stale_retry,
+            s.factorizations);
+}
+
+TEST(DualSimplex, CachedJitterMatchesFreshEngineAcrossRowAppend) {
+  // One long-lived engine solves, warm-starts and re-solves the LP under a
+  // sequence of bound changes, with a row appended halfway. Every answer
+  // must be bitwise the one a fresh engine gives on the same LP: the
+  // jittered costs are drawn once per column count, never carried over
+  // stale. The fresh side replays only what the answer depends on (a cold
+  // solve, or a refactorizing solve_from followed by resolve).
+  for (const bool perturb : {true, false}) {
+    SCOPED_TRACE(perturb ? "perturb" : "exact costs");
+    LpOptions opts;
+    opts.perturb = perturb;
+    StandardLp lp(random_lp(11));
+    auto engine = std::make_unique<DualSimplex>(lp, opts);
+    Basis prev;
+    int warm_compared = 0;
+    for (int round = 0; round < 8; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      if (round == 4) {
+        const int row = lp.add_row({{0, 1.0}, {3, 1.0}, {5, -1.0}}, Sense::kLe, 3.0);
+        // The old engine stays usable for a cold solve of the grown LP; its
+        // cached jitter must be redrawn for the new column count.
+        expect_bitwise_equal(engine->solve(), DualSimplex(lp, opts).solve(), "stale-dims solve");
+        // The rebuild branch-and-bound does after appending rows, with the
+        // previous basis extended by the new slack.
+        engine = std::make_unique<DualSimplex>(lp, opts);
+        prev.status.resize(static_cast<size_t>(lp.num_cols()), ColStatus::kBasic);
+        prev.basic.push_back(lp.num_structural() + row);
+      }
+      const int col = round % 8;
+      lp.set_bounds(col, 0.0, 1.0 + 0.5 * (round % 3));
+      expect_bitwise_equal(engine->solve(), DualSimplex(lp, opts).solve(), "solve");
+      if (!prev.basic.empty() && engine->basis().basic != prev.basic) {
+        DualSimplex fresh(lp, opts);
+        expect_bitwise_equal(engine->solve_from(prev), fresh.solve_from(prev), "solve_from");
+        EXPECT_FALSE(engine->last_solve_info().reused_lu);
+        lp.set_bounds((col + 3) % 8, 0.5, 4.0);
+        expect_bitwise_equal(engine->resolve(), fresh.resolve(), "resolve");
+        ++warm_compared;
+      }
+      prev = engine->basis();
+    }
+    EXPECT_GE(warm_compared, 3);
+    expect_causes_sum_to_factorizations(engine->lu_stats());
+  }
+}
+
+TEST(DualSimplex, LuStatsAttributeEveryFactorization) {
+  // A tiny refactor interval forces interval refactorizations; warm starts
+  // from a foreign basis force node switches. Every factorize() call the
+  // BasisLu counts must carry exactly one cause.
+  LpOptions opts;
+  opts.refactor_interval = 1;
+  StandardLp lp(random_lp(5));
+  DualSimplex a(lp, opts);
+  DualSimplex b(lp, opts);
+  ASSERT_EQ(a.solve().status, LpStatus::kOptimal);
+  lp.set_bounds(1, 0.0, 1.0);
+  ASSERT_EQ(b.solve().status, LpStatus::kOptimal);
+  const Basis foreign = b.basis();
+  lp.set_bounds(1, 0.0, 4.0);
+  ASSERT_NE(a.basis().basic, foreign.basic) << "the bound change must move the optimal basis";
+  a.solve_from(foreign);
+  a.resolve();
+  const LuStats s = a.lu_stats();
+  expect_causes_sum_to_factorizations(s);
+  EXPECT_EQ(s.cold, 1);
+  EXPECT_EQ(s.node_switch, 1);
+  EXPECT_GE(s.interval, 1);
+  EXPECT_GE(s.factor_s, 0.0);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "milp/simplex/dual_simplex.h"
 #include "milp/solver.h"
@@ -147,6 +148,44 @@ TEST(WarmStartWithCuts, MidTreeRowAppendKeepsWarmAndColdOptimaEqual) {
     if (rw.stats.cuts_lp_rows > 0 && rw.stats.warm_attempts > 0) ++with_both;
   }
   EXPECT_GT(with_both, 0);
+}
+
+TEST(SolverStats, LuCausesAccountForEveryFactorizationAcrossEngineRebuilds) {
+  // Lazy rows make branch-and-bound drop and rebuild its simplex engine
+  // mid-tree; a small refactor interval adds interval refactorizations.
+  // The summed LU counters must still attribute every factorize() call to
+  // one cause, and agree with the independent warm-start counters: each
+  // cold node LP (and each fallback) factorizes once from the slack basis,
+  // and each warm start that could not reuse the cached LU refactorizes
+  // once on its node switch.
+  int rebuilt = 0;
+  long interval = 0;
+  for (unsigned seed = 301; seed <= 312; ++seed) {
+    const Model full = tests::random_model(seed, 10, 2, 6);
+    std::vector<bool> dropped(6, false);
+    dropped[seed % 6] = true;
+    dropped[(seed + 3) % 6] = true;
+    SolveOptions opts;
+    opts.cuts.separators.push_back(tests::dropped_row_separator(full, dropped));
+    opts.lp.refactor_interval = 3;
+    const MipResult r = solve(tests::relax(full, dropped), opts);
+    const SolveStats& s = r.stats;
+    ASSERT_EQ(s.numerical_failures, 0) << "seed " << seed;
+    EXPECT_GT(s.lu.factorizations, 0) << "seed " << seed;
+    EXPECT_EQ(s.lu.cold + s.lu.node_switch + s.lu.interval + s.lu.update_rejected +
+                  s.lu.stale_retry,
+              s.lu.factorizations)
+        << "seed " << seed;
+    EXPECT_EQ(s.lu.cold, s.cold_solves + s.warm_fallbacks) << "seed " << seed;
+    EXPECT_EQ(s.lu.node_switch, s.warm_attempts - s.warm_lu_reused) << "seed " << seed;
+    EXPECT_GE(s.lu.factor_s, 0.0);
+    EXPECT_LE(s.lu.factor_s, s.time_s);
+    EXPECT_NE(s.to_json().find("\"lu\": {\"factorizations\": "), std::string::npos);
+    if (s.cuts_lp_rows > 0 && s.warm_attempts > 0) ++rebuilt;
+    interval += s.lu.interval;
+  }
+  EXPECT_GT(rebuilt, 0);
+  EXPECT_GT(interval, 0);
 }
 
 TEST(SolverStats, ReportsWork) {
