@@ -8,7 +8,6 @@
 #include "core/explorer.h"
 #include "core/workloads/scenarios.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 using namespace wnet;
 using namespace wnet::archex;
@@ -16,7 +15,7 @@ using namespace wnet::archex;
 int main(int argc, char** argv) {
   bench::Args args(argc, argv,
                    {{"nodes", "40"}, {"devices", "12"}, {"time-limit", "30"},
-                    {"time-threshold", "60"}, {"threads", "1"}});
+                    {"time-threshold", "60"}});
 
   workloads::ScalableConfig cfg;
   cfg.total_nodes = args.geti("nodes");
@@ -27,7 +26,6 @@ int main(int argc, char** argv) {
   Explorer::KStarSearchOptions ko;
   ko.ladder = {1, 3, 5, 10, 20};
   ko.time_threshold_s = args.getd("time-threshold");
-  ko.threads = util::resolve_threads(args.geti("threads"));  // rungs fan out; 0 = all cores
   milp::SolveOptions so;
   so.time_limit_s = args.getd("time-limit");
   so.rel_gap = 0.02;

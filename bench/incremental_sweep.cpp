@@ -1,7 +1,8 @@
 // A/B harness for the incremental exploration pipeline.
 //
 // Runs the same K* ladder searches and robust repair loops twice — once
-// with fresh per-rung encodes (incremental = false) and once through the
+// with fresh per-rung encodes (a bench-local scan_k_star over explore()
+// rungs; incremental = false for the repair loops) and once through the
 // IncrementalEncoder session (resumable Yen, delta-extended model, previous
 // incumbent as MIP start, previous objective as primal cutoff) — and checks
 // that both sides agree on chosen_k, objective and deployed architecture
@@ -108,17 +109,27 @@ struct RunMeasure {
   int mip_starts = 0;      ///< rungs whose solve accepted the MIP start
 };
 
+/// The incremental side is Explorer::search_k_star; the fresh side runs the
+/// same selection scan over independent explore() rungs, each encoding its
+/// K* from scratch.
 RunMeasure run_ladder(const workloads::Scenario& sc, const std::vector<int>& ladder,
                       bool incremental, double time_limit_s) {
   Explorer::KStarSearchOptions ko;
   ko.ladder = ladder;
-  ko.incremental = incremental;
   milp::SolveOptions so;
   so.time_limit_s = time_limit_s;
   const Explorer ex(*sc.tmpl, sc.spec);
   RunMeasure m;
   util::Stopwatch clock;
-  m.result = ex.search_k_star(ko, {}, so);
+  if (incremental) {
+    m.result = ex.search_k_star(ko, {}, so);
+  } else {
+    m.result = scan_k_star(ko, so.exec, [&](size_t /*i*/, int k) {
+      EncoderOptions eo;
+      eo.k_star = k;
+      return ex.explore(eo, so);
+    });
+  }
   m.wall_s = clock.seconds();
   for (const auto& [k, r] : m.result.trace) {
     m.encode_s += r.encode_stats.encode_time_s;
@@ -250,7 +261,6 @@ int main(int argc, char** argv) {
       const auto sc = workloads::make_scalable(cfg);
       Explorer::KStarSearchOptions ko;
       ko.ladder = c.ladder;
-      ko.incremental = true;
       EncoderOptions eo;
       eo.exec = ctl;
       milp::SolveOptions so;

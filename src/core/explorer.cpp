@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <map>
-#include <memory>
 #include <set>
 
 #include "core/encode/separation.h"
@@ -10,7 +9,6 @@
 #include "util/obs/json.h"
 #include "util/obs/trace.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace wnet::archex {
 
@@ -124,43 +122,9 @@ EncodedProblem Explorer::encode(const EncoderOptions& eopts) const {
 
 ExplorationResult Explorer::explore(const EncoderOptions& eopts,
                                     const milp::SolveOptions& sopts) const {
-  util::Stopwatch clock;
-  ExplorationResult out;
-
-  Encoder enc(*tmpl_, *spec_, eopts);
-  EncodedProblem ep = enc.encode();
-  out.encode_stats = ep.stats;
-  if (ep.stats.termination != util::exec::TerminationReason::kCompleted) {
-    // The encode aborted: its partial model must not be solved. Report the
-    // stop reason with the empty anytime certificate.
-    out.termination = ep.stats.termination;
-    out.total_time_s = clock.seconds();
-    return out;
-  }
-
-  milp::SolveOptions main_opts = sopts;
-  if (eopts.lazy_separation) {
-    // The omitted row families come back as separation callbacks. They are
-    // installed before the warm-start probe runs so the probe's restricted
-    // solve (same var ids) is gated by the same lazy constraints and never
-    // hands back a lazily-infeasible seed.
-    LazySeparation(*tmpl_, ep).install(main_opts);
-  }
-  if (main_opts.mip_start.empty()) {
-    main_opts.mip_start = fixed_routing_start(ep, main_opts);
-  }
-  const milp::MipResult res = milp::solve(ep.model, main_opts);
-  out.status = res.status;
-  out.solve_stats = res.stats;
-  out.termination = res.stats.termination;
-  out.bound = res.stats.bound;
-  out.gap = res.stats.gap;
-  if (res.has_solution()) {
-    out.objective = res.objective;
-    out.architecture = decode_solution(ep, *tmpl_, *spec_, res.x);
-  }
-  out.total_time_s = clock.seconds();
-  return out;
+  IncrementalEncoder session(*tmpl_, *spec_, eopts);
+  RungCarry carry;
+  return explore_rung(session, eopts.k_star, carry, sopts);
 }
 
 ExplorationResult Explorer::explore_rung(IncrementalEncoder& session, int k, RungCarry& carry,
@@ -181,6 +145,9 @@ ExplorationResult Explorer::explore_rung(IncrementalEncoder& session, int k, Run
   if (session.options().lazy_separation) {
     // Rebuilt per rung: a delta extend grows the candidate list, and the
     // separator snapshot must cover every selector of the current model.
+    // Installed before the warm-start probe so the probe's restricted solve
+    // (same var ids) is gated by the same lazy constraints and never hands
+    // back a lazily-infeasible seed.
     LazySeparation(*tmpl_, ep).install(so);
   }
   if (so.mip_start.empty()) {
@@ -211,73 +178,37 @@ ExplorationResult Explorer::explore_rung(IncrementalEncoder& session, int k, Run
 Explorer::KStarSearchResult Explorer::search_k_star(const KStarSearchOptions& kopts,
                                                     EncoderOptions eopts,
                                                     const milp::SolveOptions& sopts) const {
-  KStarSearchResult out;
   eopts.mode = EncoderOptions::PathMode::kApprox;
-  const int n = static_cast<int>(kopts.ladder.size());
-
-  // Parallel mode speculatively evaluates every rung up front (each rung
-  // is an independent encode + solve); the serial selection scan below
-  // then consumes rung i from `evaluated[i]` instead of exploring lazily.
-  // Selection order, improvement rule and tie-breaks are shared with the
-  // serial path verbatim, so the winner is identical for any thread count
-  // — parallelism buys wall clock at the price of evaluating rungs a
-  // serial run would have skipped after its early exit.
-  std::vector<ExplorationResult> evaluated;
-  if (kopts.threads > 1) {
-    const util::ParallelExecutor exec(kopts.threads);
-    evaluated = exec.map<ExplorationResult>(n, [&](int i) {
-      EncoderOptions eo = eopts;
-      eo.k_star = kopts.ladder[static_cast<size_t>(i)];
-      // Speculative rungs run on worker threads: strip the checkpoint
-      // injector (poll-only), per the exec determinism contract.
-      eo.exec = eo.exec.worker_view();
-      milp::SolveOptions so = sopts;
-      so.exec = so.exec.worker_view();
-      util::obs::ScopedSpan rung_span("kstar/rung", "explore");
-      rung_span.arg("k", eo.k_star);
-      return explore(eo, so);
-    });
-  }
-
-  // Serial incremental mode: one encoding session spans the ladder, so a
-  // rung delta-extends the previous model instead of re-running Yen and
-  // rebuilding. Cross-solve reuse rides along: the previous incumbent,
-  // zero-extended over the appended variables, seeds the solve, and its
-  // objective becomes a primal cutoff (sound because a successful delta
-  // grows the feasible set — the optimum can only improve).
-  std::unique_ptr<IncrementalEncoder> session;
-  if (kopts.threads <= 1 && kopts.incremental) {
-    session = std::make_unique<IncrementalEncoder>(*tmpl_, *spec_, eopts);
-  }
+  IncrementalEncoder session(*tmpl_, *spec_, eopts);
   RungCarry carry;
+  return scan_k_star(kopts, sopts.exec, [&](size_t /*i*/, int k) {
+    return explore_rung(session, k, carry, sopts);
+  });
+}
 
+Explorer::KStarSearchResult scan_k_star(
+    const Explorer::KStarSearchOptions& kopts, const util::exec::ExecControl& exec,
+    const std::function<ExplorationResult(size_t i, int k)>& rung,
+    const std::function<void(int k, const ExplorationResult& r, bool improved)>& on_rung) {
+  Explorer::KStarSearchResult out;
   double best_obj = milp::kInf;
-  for (int i = 0; i < n; ++i) {
+  for (size_t i = 0; i < kopts.ladder.size(); ++i) {
     // Scan-boundary checkpoint on the serial spine (rung solves themselves
     // poll the same token): a stop keeps everything scanned so far.
     util::exec::TerminationReason scan_why = util::exec::TerminationReason::kCompleted;
-    if (sopts.exec.checkpoint(&scan_why)) {
+    if (exec.checkpoint(&scan_why)) {
       out.termination = scan_why;
       break;
     }
-    const int k = kopts.ladder[static_cast<size_t>(i)];
-    ExplorationResult r;
-    if (kopts.threads > 1) {
-      r = std::move(evaluated[static_cast<size_t>(i)]);
-    } else if (session) {
-      r = explore_rung(*session, k, carry, sopts);
-    } else {
-      eopts.k_star = k;
-      util::obs::ScopedSpan rung_span("kstar/rung", "explore");
-      rung_span.arg("k", k);
-      r = explore(eopts, sopts);
-    }
+    const int k = kopts.ladder[i];
+    ExplorationResult r = rung(i, k);
     out.trace.emplace_back(k, r);
     const util::exec::TerminationReason rung_term = r.termination;
     const bool improved =
         r.has_solution() &&
         (best_obj == milp::kInf ||
          r.objective < best_obj - kopts.min_improvement * std::max(1.0, std::abs(best_obj)));
+    if (on_rung) on_rung(k, r, improved);
     if (improved) {
       best_obj = r.objective;
       out.chosen_k = k;
@@ -286,9 +217,7 @@ Explorer::KStarSearchResult Explorer::search_k_star(const KStarSearchOptions& ko
     // A rung cut short by the request control ends the ladder with that
     // reason — later rungs would be cut the same way. This outranks the
     // natural stop rules below, which describe a *finished* search.
-    if (rung_term == util::exec::TerminationReason::kDeadline ||
-        rung_term == util::exec::TerminationReason::kCancelled ||
-        rung_term == util::exec::TerminationReason::kNodeLimit) {
+    if (util::exec::stopped_by_control(rung_term)) {
       out.termination = rung_term;
       break;
     }

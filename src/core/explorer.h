@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -52,6 +53,9 @@ class Explorer {
   [[nodiscard]] const NetworkTemplate& tmpl() const { return *tmpl_; }
   [[nodiscard]] const Specification& spec() const { return *spec_; }
 
+  /// One encode + solve + decode at k_star = eopts.k_star: a one-rung
+  /// session through explore_rung, with the fixed-routing probe as its
+  /// warm start unless `sopts.mip_start` supplies one.
   [[nodiscard]] ExplorationResult explore(const EncoderOptions& eopts = {},
                                           const milp::SolveOptions& sopts = {}) const;
 
@@ -67,21 +71,6 @@ class Explorer {
     std::vector<int> ladder = {1, 3, 5, 10, 20};
     double time_threshold_s = 600.0;
     double min_improvement = 1e-3;
-    /// Worker threads: > 1 evaluates every ladder rung concurrently, then
-    /// replays the serial selection scan (same improvement rule, same
-    /// tie-break order) over the per-rung results — chosen_k, best and the
-    /// trace come out identical to a serial run. The serial path evaluates
-    /// rungs lazily and keeps its early exit.
-    int threads = 1;
-    /// Serial path only: carry one IncrementalEncoder session across the
-    /// ladder. Each rung delta-extends the previous model (resumable Yen,
-    /// appended selectors/rows) instead of re-encoding, installs the
-    /// previous rung's incumbent as a MIP start, and — because a successful
-    /// delta makes the feasible set a superset of the previous rung's — its
-    /// objective as a primal cutoff. chosen_k and objectives match the
-    /// non-incremental scan; tie-broken architectures may differ. Ignored
-    /// when threads > 1 (speculative rungs are independent by design).
-    bool incremental = true;
   };
   struct KStarSearchResult {
     int chosen_k = 0;
@@ -93,6 +82,13 @@ class Explorer {
     /// valid partial results either way.
     util::exec::TerminationReason termination = util::exec::TerminationReason::kCompleted;
   };
+  /// Walks the ladder through one IncrementalEncoder session: each rung
+  /// delta-extends the previous model (resumable Yen, appended selectors
+  /// and rows) instead of re-encoding, installs the previous rung's
+  /// incumbent as a MIP start, and — because a successful delta makes the
+  /// feasible set a superset of the previous rung's — its objective as a
+  /// primal cutoff. chosen_k and objectives match a scan over fresh
+  /// explore() rungs; tie-broken architectures may differ.
   [[nodiscard]] KStarSearchResult search_k_star(const KStarSearchOptions& kopts,
                                                 EncoderOptions eopts = {},
                                                 const milp::SolveOptions& sopts = {}) const;
@@ -113,10 +109,10 @@ class Explorer {
   /// delta-extends (or builds) the session's model to k_star = k, installs
   /// the carried incumbent as MIP start + cutoff (falling back to the
   /// fixed-routing heuristic when the carry does not extend), solves, and
-  /// updates `carry` on success. This is the building block search_k_star's
-  /// serial incremental path and the solve daemon's session cache share:
-  /// the daemon keeps the session (and the carry) alive across requests so
-  /// repeated or extended ladders resume instead of re-deriving.
+  /// updates `carry` on success. This is the building block explore(),
+  /// search_k_star and the solve daemon's session cache share: the daemon
+  /// keeps the session (and the carry) alive across requests so repeated or
+  /// extended ladders resume instead of re-deriving.
   ///
   /// The session must have been constructed against this explorer's
   /// template and specification; its options govern lazy separation and
@@ -188,6 +184,20 @@ class Explorer {
   const NetworkTemplate* tmpl_;
   const Specification* spec_;
 };
+
+/// The Sec. 4.3 selection scan behind search_k_star and the solve daemon:
+/// walks `kopts.ladder`, evaluating rung i (with K* = k) through
+/// `rung(i, k)`, and keeps the first rung whose objective beats the best so
+/// far by more than `min_improvement` (relative). Stops at the first rung
+/// that does not improve once a solution exists, at the first rung whose
+/// run time exceeds `time_threshold_s`, or — outranking both, and recorded
+/// as the result's termination — when `exec` trips at a rung boundary or a
+/// rung reports a stop imposed by the request control. `on_rung(k, r,
+/// improved)`, when set, sees every evaluated rung in ladder order.
+[[nodiscard]] Explorer::KStarSearchResult scan_k_star(
+    const Explorer::KStarSearchOptions& kopts, const util::exec::ExecControl& exec,
+    const std::function<ExplorationResult(size_t i, int k)>& rung,
+    const std::function<void(int k, const ExplorationResult& r, bool improved)>& on_rung = {});
 
 /// Fixes every candidate selector to the `picked` assignment (exactly one
 /// candidate per (route, replica) group) and briefly solves the remaining

@@ -292,9 +292,7 @@ Explorer::RobustExplorationResult Explorer::explore_robust(
     const util::Stopwatch iter_clock;
     const milp::MipResult res = milp::solve(ep.model, sopts);
 
-    if (!res.has_solution() && (res.stats.termination == TerminationReason::kDeadline ||
-                                res.stats.termination == TerminationReason::kCancelled ||
-                                res.stats.termination == TerminationReason::kNodeLimit)) {
+    if (!res.has_solution() && util::exec::stopped_by_control(res.stats.termination)) {
       // The solver was stopped, not defeated: an empty result here says
       // nothing about feasibility, so do NOT escalate replicas off it.
       out.termination = res.stats.termination;

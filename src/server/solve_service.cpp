@@ -14,24 +14,8 @@ namespace wnet::server {
 
 namespace {
 
-/// Same improvement rule and default ladder as Explorer::search_k_star —
-/// the service's scan must make identical selections so a daemon answer
-/// matches the library answer for the same request.
-constexpr double kMinImprovement = 1e-3;
+/// The protocol's default ladder when a request names none.
 const std::vector<int> kDefaultLadder = {1, 3, 5};
-
-bool improved_enough(double objective, double best_obj) {
-  return best_obj == milp::kInf ||
-         objective < best_obj - kMinImprovement * std::max(1.0, std::abs(best_obj));
-}
-
-/// A rung cut short by the request control ends the ladder (and taints the
-/// session for caching): later rungs would be cut the same way.
-bool cut_short(util::exec::TerminationReason r) {
-  return r == util::exec::TerminationReason::kDeadline ||
-         r == util::exec::TerminationReason::kCancelled ||
-         r == util::exec::TerminationReason::kNodeLimit;
-}
 
 }  // namespace
 
@@ -314,60 +298,46 @@ void SolveService::run_request(const Pending& p) {
   sopts.exec = rc.control;
   sopts.collect_timeline = false;
 
-  // The ladder scan. Mirrors Explorer::search_k_star's serial incremental
-  // path — same improvement rule, same termination handling — but streams
-  // per-rung events, replays cached rungs and records fresh ones. No
-  // wall-clock stop rule on purpose: a replayed rung takes ~zero time, so
-  // any time-based ladder decision would make the answer depend on cache
-  // state. Deadlines live in the request control instead.
-  archex::Explorer::KStarSearchResult out;
-  double best_obj = milp::kInf;
+  // The ladder scan: Explorer::search_k_star's selection scan, with rungs
+  // replayed from the cached session or explored on it (and recorded), and
+  // per-rung events streamed as the scan sees them. No wall-clock stop rule
+  // on purpose: a replayed rung takes ~zero time, so any time-based ladder
+  // decision would make the answer depend on cache state. Deadlines live in
+  // the request control instead.
+  archex::Explorer::KStarSearchOptions kopts;
+  kopts.ladder = ladder;
+  kopts.time_threshold_s = milp::kInf;
   int reused_rungs = 0;
   int reused_candidates = 0;
   bool session_dirty = false;
-  for (size_t i = 0; i < ladder.size(); ++i) {
-    util::exec::TerminationReason scan_why = util::exec::TerminationReason::kCompleted;
-    if (rc.control.checkpoint(&scan_why)) {
-      out.termination = scan_why;
-      break;
-    }
-    const int k = ladder[i];
-    archex::ExplorationResult r;
-    bool replayed = false;
-    if (i < cs->rung_ks.size() && cs->rung_ks[i] == k) {
-      r = cs->rung_results[i];
-      replayed = true;
+  bool replayed = false;
+  const auto rung = [&](size_t i, int k) -> archex::ExplorationResult {
+    replayed = i < cs->rung_ks.size() && cs->rung_ks[i] == k;
+    if (replayed) {
       ++reused_rungs;
-    } else {
-      milp::SolveOptions rung_opts = sopts;
-      rung_opts.on_bound_improved = [&](double bound) { emit(event_bound(req.id, k, bound)); };
-      r = cs->explorer->explore_rung(*cs->session, k, cs->carry, rung_opts);
-      if (cut_short(r.termination)) {
-        // The session's encode/solve state stopped mid-flight; it must not
-        // be reused by a later request.
-        session_dirty = true;
-      } else {
-        cs->rung_ks.push_back(k);
-        cs->rung_results.push_back(r);
-      }
+      return cs->rung_results[i];
     }
+    milp::SolveOptions rung_opts = sopts;
+    rung_opts.on_bound_improved = [&](double bound) { emit(event_bound(req.id, k, bound)); };
+    archex::ExplorationResult r =
+        cs->explorer->explore_rung(*cs->session, k, cs->carry, rung_opts);
+    if (util::exec::stopped_by_control(r.termination)) {
+      // The session's encode/solve state stopped mid-flight; it must not
+      // be reused by a later request.
+      session_dirty = true;
+    } else {
+      cs->rung_ks.push_back(k);
+      cs->rung_results.push_back(r);
+    }
+    return r;
+  };
+  const auto on_rung = [&](int k, const archex::ExplorationResult& r, bool improved) {
     reused_candidates += r.encode_stats.reused_candidates;
     emit(event_rung(req.id, k, r, replayed));
-    out.trace.emplace_back(k, r);
-    const util::exec::TerminationReason rung_term = r.termination;
-    const bool improved = r.has_solution() && improved_enough(r.objective, best_obj);
-    if (improved) {
-      best_obj = r.objective;
-      out.chosen_k = k;
-      out.best = r;
-      emit(event_incumbent(req.id, k, r.objective));
-    }
-    if (cut_short(rung_term)) {
-      out.termination = rung_term;
-      break;
-    }
-    if (!improved && out.chosen_k != 0) break;  // Sec. 4.3 stop rule
-  }
+    if (improved) emit(event_incumbent(req.id, k, r.objective));
+  };
+  const archex::Explorer::KStarSearchResult out =
+      archex::scan_k_star(kopts, rc.control, rung, on_rung);
 
   // Never cache a session whose encode/solve was cut short, and don't
   // bother caching one that computed nothing (cancelled before rung 0).

@@ -45,6 +45,14 @@ enum class TerminationReason {
 
 [[nodiscard]] const char* to_string(TerminationReason r);
 
+/// True for the reasons an ExecControl imposes from outside (deadline,
+/// cancellation, resource cap): the run was stopped, not finished, so its
+/// result says nothing about what the rest of the search would have found.
+[[nodiscard]] constexpr bool stopped_by_control(TerminationReason r) {
+  return r == TerminationReason::kDeadline || r == TerminationReason::kCancelled ||
+         r == TerminationReason::kNodeLimit;
+}
+
 /// Monotonic wall-clock deadline. Default-constructed = never expires.
 class Deadline {
  public:

@@ -253,28 +253,31 @@ TEST_F(LazySeparationDeterminism, ExploreIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(LazySeparationDeterminism, LadderAgreesBetweenSerialAndParallelDrivers) {
-  // The serial driver delta-extends one incremental session; the parallel
-  // driver speculatively evaluates every rung through fresh encodes. With
-  // lazy separation on, both must still choose the same K* and report the
-  // same winner.
+TEST_F(LazySeparationDeterminism, LadderAgreesBetweenIncrementalAndFreshRungs) {
+  // search_k_star delta-extends one incremental session; the same selection
+  // scan over fresh explore() rungs encodes every K* from scratch. With lazy
+  // separation on, both must still choose the same K* and report the same
+  // winner.
   const Explorer ex(tmpl_, spec_);
-  const auto run = [&](int threads) {
-    Explorer::KStarSearchOptions ko;
-    ko.ladder = {1, 3, 6};
-    ko.threads = threads;
-    milp::SolveOptions so;
-    so.time_limit_s = 60.0;
-    EncoderOptions eo;
-    eo.lazy_separation = true;
-    const auto r = ex.search_k_star(ko, eo, so);
+  Explorer::KStarSearchOptions ko;
+  ko.ladder = {1, 3, 6};
+  milp::SolveOptions so;
+  so.time_limit_s = 60.0;
+  EncoderOptions eo;
+  eo.lazy_separation = true;
+  const auto summary = [&](const Explorer::KStarSearchResult& r) {
     std::ostringstream os;
     os << r.chosen_k << "|" << util::exec::to_string(r.termination) << "|" << canon(r.best);
     return os.str();
   };
-  const std::string serial = run(1);
-  EXPECT_EQ(run(2), serial);
-  EXPECT_EQ(run(4), serial);
+  const std::string incremental = summary(ex.search_k_star(ko, eo, so));
+  const std::string fresh = summary(scan_k_star(ko, so.exec, [&](size_t /*i*/, int k) {
+    EncoderOptions fo = eo;
+    fo.k_star = k;
+    return ex.explore(fo, so);
+  }));
+  EXPECT_EQ(fresh, incremental);
+  EXPECT_NE(incremental.find("optimal"), std::string::npos) << incremental;
 }
 
 TEST_F(LazySeparationDeterminism, DegradesIdenticallyUnderInjectedCancellation) {

@@ -96,22 +96,30 @@ TEST_F(ParallelDeterminism, KStarLadderSearchIsThreadCountInvariant) {
 
   Explorer::KStarSearchOptions ko;
   ko.ladder = {1, 3, 6};
-  const auto base = ex.search_k_star(ko, {}, so);
+  EncoderOptions serial;
+  serial.threads = 1;
+  const auto base = ex.search_k_star(ko, serial, so);
   ASSERT_TRUE(base.best.has_solution());
 
   for (int threads : {2, 4, 8}) {
-    Explorer::KStarSearchOptions kt = ko;
-    kt.threads = threads;
-    const auto r = ex.search_k_star(kt, {}, so);
+    EncoderOptions eo = serial;
+    eo.threads = threads;
+    const auto r = ex.search_k_star(ko, eo, so);
     EXPECT_EQ(r.chosen_k, base.chosen_k) << "threads=" << threads;
     EXPECT_EQ(r.best.objective, base.best.objective) << "threads=" << threads;
-    // The parallel scan replays the serial selection rule, so even the
-    // trace — which rungs were (counted as) visited, in what order, with
-    // what objectives — must line up rung for rung.
+    // The first rung's candidates come from per-route Yen batches fanned
+    // out over the workers, and every later rung resumes that Yen state.
+    // Identical candidate lists make every rung's model identical, so the
+    // trace — which rungs were visited, in what order, with what objectives
+    // and model sizes — must line up rung for rung.
     ASSERT_EQ(r.trace.size(), base.trace.size()) << "threads=" << threads;
     for (size_t i = 0; i < r.trace.size(); ++i) {
       EXPECT_EQ(r.trace[i].first, base.trace[i].first);
       EXPECT_EQ(r.trace[i].second.objective, base.trace[i].second.objective);
+      EXPECT_EQ(r.trace[i].second.encode_stats.num_vars,
+                base.trace[i].second.encode_stats.num_vars);
+      EXPECT_EQ(r.trace[i].second.encode_stats.candidate_paths,
+                base.trace[i].second.encode_stats.candidate_paths);
     }
     expect_same_architecture(r.best.architecture, base.best.architecture);
   }

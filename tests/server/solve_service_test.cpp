@@ -1,7 +1,8 @@
 // The solve daemon's contracts, pinned in-process:
 //   - the canonical sub-object of every result is byte-identical across
 //     1/2/4/8 worker threads and across cache states (serial reference vs
-//     concurrent, cold vs warm);
+//     concurrent, cold vs warm), and equal to the library's
+//     Explorer::search_k_star answer for the same spec and ladder;
 //   - a duplicated request answers from the session cache with the same
 //     canonical result and strictly lower wall clock, also when it is sent
 //     the moment the first request's result is read;
@@ -264,6 +265,52 @@ TEST_F(SolveServiceTest, ExtendedLadderResumesFromCachedPrefix) {
   EXPECT_TRUE(result->get_bool("cache_hit", false));
   // Rungs 1 and 2 replay; only the stop rule decides whether rung 4 runs.
   EXPECT_GE(result->get_number("reused_rungs", 0.0), 2.0);
+}
+
+TEST_F(SolveServiceTest, ResultMatchesLibraryKStarSearch) {
+  // The daemon runs the library's selection scan over cached or freshly
+  // explored rungs: cold, replayed and resumed answers must all be the
+  // library's answer, byte for byte.
+  const archex::workloads::Scenario* scn = registry_.get("tiny");
+  ASSERT_NE(scn, nullptr);
+  const archex::Explorer ex(*scn->tmpl, scn->spec);
+  const auto library = [&](std::vector<int> ladder) {
+    archex::Explorer::KStarSearchOptions ko;
+    ko.ladder = std::move(ladder);
+    milp::SolveOptions so;
+    so.time_limit_s = 60.0;
+    return canonical_result_json(ex.search_k_star(ko, {}, so));
+  };
+  const std::string default_ladder = library({1, 3, 5});
+  const std::string extended_ladder = library({1, 3, 5, 10});
+
+  Collector out;
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  SolveService svc(registry_, cfg, out.sink());
+  for (const std::string id : {"default-cold", "default-cached"}) {
+    ASSERT_TRUE(svc.submit(solve_request(id, {})));  // empty: the protocol's default ladder
+    svc.wait_idle();
+  }
+  for (const std::string id : {"extended-resumed", "extended-cached"}) {
+    ASSERT_TRUE(svc.submit(solve_request(id, {1, 3, 5, 10})));
+    svc.wait_idle();
+  }
+  Collector cold_out;
+  SolveService cold(registry_, cfg, cold_out.sink());
+  ASSERT_TRUE(cold.submit(solve_request("extended-cold", {1, 3, 5, 10})));
+  cold.wait_idle();
+
+  EXPECT_EQ(out.canonical_of("default-cold"), default_ladder);
+  EXPECT_EQ(out.canonical_of("default-cached"), default_ladder);
+  EXPECT_EQ(out.canonical_of("extended-resumed"), extended_ladder);
+  EXPECT_EQ(out.canonical_of("extended-cached"), extended_ladder);
+  EXPECT_EQ(cold_out.canonical_of("extended-cold"), extended_ladder);
+  for (const std::string id : {"default-cached", "extended-resumed", "extended-cached"}) {
+    const std::optional<JsonValue> result = out.event("result", id);
+    ASSERT_TRUE(result.has_value()) << id;
+    EXPECT_TRUE(result->get_bool("cache_hit", false)) << id;
+  }
 }
 
 TEST_F(SolveServiceTest, AdmissionControlRejectsOverflowAndDuplicates) {

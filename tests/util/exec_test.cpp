@@ -204,5 +204,16 @@ TEST(TerminationReason, ToStringCoversEveryReason) {
   EXPECT_STREQ(to_string(TerminationReason::kInfeasible), "infeasible");
 }
 
+TEST(TerminationReason, StoppedByControlIsExactlyTheControlImposedReasons) {
+  // A stop the request control imposed (deadline, cancel, resource cap)
+  // says nothing about the problem; the other three are answers.
+  EXPECT_FALSE(stopped_by_control(TerminationReason::kCompleted));
+  EXPECT_TRUE(stopped_by_control(TerminationReason::kDeadline));
+  EXPECT_TRUE(stopped_by_control(TerminationReason::kCancelled));
+  EXPECT_TRUE(stopped_by_control(TerminationReason::kNodeLimit));
+  EXPECT_FALSE(stopped_by_control(TerminationReason::kNumerical));
+  EXPECT_FALSE(stopped_by_control(TerminationReason::kInfeasible));
+}
+
 }  // namespace
 }  // namespace wnet::util::exec
