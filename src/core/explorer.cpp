@@ -115,11 +115,6 @@ std::vector<double> solve_with_fixed_selectors(
   return wres.has_solution() ? wres.x : std::vector<double>{};
 }
 
-EncodedProblem Explorer::encode(const EncoderOptions& eopts) const {
-  Encoder enc(*tmpl_, *spec_, eopts);
-  return enc.encode();
-}
-
 ExplorationResult Explorer::explore(const EncoderOptions& eopts,
                                     const milp::SolveOptions& sopts) const {
   IncrementalEncoder session(*tmpl_, *spec_, eopts);
@@ -128,7 +123,8 @@ ExplorationResult Explorer::explore(const EncoderOptions& eopts,
 }
 
 ExplorationResult Explorer::explore_rung(IncrementalEncoder& session, int k, RungCarry& carry,
-                                         const milp::SolveOptions& sopts) const {
+                                         const milp::SolveOptions& sopts,
+                                         const RungStart& start) const {
   util::Stopwatch rung_clock;
   util::obs::ScopedSpan rung_span("kstar/rung", "explore");
   rung_span.arg("k", k);
@@ -156,7 +152,7 @@ ExplorationResult Explorer::explore_rung(IncrementalEncoder& session, int k, Run
       so.mip_start = std::move(ext);
       so.cutoff = carry.objective;
     } else {
-      so.mip_start = fixed_routing_start(ep, so);
+      so.mip_start = start ? start(ep, so) : fixed_routing_start(ep, so);
     }
   }
   const milp::MipResult res = milp::solve(ep.model, so);

@@ -59,11 +59,6 @@ class Explorer {
   [[nodiscard]] ExplorationResult explore(const EncoderOptions& eopts = {},
                                           const milp::SolveOptions& sopts = {}) const;
 
-  /// Encode-only entry point: the compiled problem without solving it. The
-  /// meta layer (tabu search, portfolio, sensitivity) encodes once and then
-  /// runs many solves against the same EncodedProblem.
-  [[nodiscard]] EncodedProblem encode(const EncoderOptions& eopts = {}) const;
-
   /// Systematic K* selection (paper Sec. 4.3): explore with increasing K*
   /// until the run time exceeds `time_threshold_s` or the objective stops
   /// improving by more than `min_improvement` (relative).
@@ -105,14 +100,22 @@ class Explorer {
     double objective = milp::kInf;
   };
 
-  /// One rung of an incremental K* ladder against a caller-owned session:
-  /// delta-extends (or builds) the session's model to k_star = k, installs
-  /// the carried incumbent as MIP start + cutoff (falling back to the
-  /// fixed-routing heuristic when the carry does not extend), solves, and
-  /// updates `carry` on success. This is the building block explore(),
-  /// search_k_star and the solve daemon's session cache share: the daemon
-  /// keeps the session (and the carry) alive across requests so repeated or
-  /// extended ladders resume instead of re-deriving.
+  /// Warm-start source for a rung whose carry does not extend: given the
+  /// encoded problem and the solve options (lazy separators already
+  /// installed), returns a MIP start, or empty for a cold solve.
+  using RungStart =
+      std::function<std::vector<double>(const EncodedProblem&, const milp::SolveOptions&)>;
+
+  /// One rung against a caller-owned session: delta-extends (or builds) the
+  /// session's model to k_star = k, installs the lazy separators, installs
+  /// the carried incumbent as MIP start + cutoff — or, when the carry does
+  /// not extend, the MIP start `start` returns (the fixed-routing heuristic
+  /// when `start` is empty) — solves, decodes, and updates `carry` on
+  /// success. This is the one solve step behind explore(), search_k_star,
+  /// explore_robust's repair iterations (with repair_start as `start`) and
+  /// the solve daemon's session cache: the daemon keeps the session (and
+  /// the carry) alive across requests so repeated or extended ladders
+  /// resume instead of re-deriving.
   ///
   /// The session must have been constructed against this explorer's
   /// template and specification; its options govern lazy separation and
@@ -120,7 +123,8 @@ class Explorer {
   /// stopped encode the rung reports the reason and never solves.
   [[nodiscard]] ExplorationResult explore_rung(IncrementalEncoder& session, int k,
                                                RungCarry& carry,
-                                               const milp::SolveOptions& sopts) const;
+                                               const milp::SolveOptions& sopts,
+                                               const RungStart& start = {}) const;
 
   /// Counterexample-guided robust exploration (core/faults/robust.cpp).
   struct RobustExploreOptions {
@@ -143,12 +147,6 @@ class Explorer {
     /// inside the encoder. Reports and repair trajectories are identical
     /// for every value; <= 1 is fully serial.
     int threads = 1;
-    /// Carry one IncrementalEncoder session across repair iterations:
-    /// kAvoid hardenings append rows to the standing model in place, while
-    /// kMargin hardenings and replica raises transparently rebuild. No
-    /// primal cutoff is carried — a hardened optimum may legitimately be
-    /// worse than its predecessor.
-    bool incremental = true;
   };
 
   struct RobustExplorationResult {

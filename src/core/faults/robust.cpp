@@ -1,10 +1,11 @@
 // Counterexample-guided robust exploration: Explorer::explore_robust.
 //
-// The loop alternates synthesis and falsification. Each iteration encodes
+// The loop alternates synthesis and falsification. Each iteration is one
+// Explorer::explore_rung on a single IncrementalEncoder session: it encodes
 // the (possibly hardened) specification, solves with a repair warm start
-// seeded from the previous architecture, replays the deterministic fault
-// campaign against the decoded result, and folds every failure back into
-// the encoder as hardening constraints:
+// seeded from the previous architecture, and decodes. The loop then replays
+// the deterministic fault campaign against the result and folds every
+// failure back into the session as hardening constraints:
 //
 //   node failure / link cut that broke route r  ->  kAvoid(r, failed set)
 //   fading draw that sank links below the floor ->  kMargin(links, shortfall)
@@ -18,13 +19,11 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
 
-#include "core/encode/separation.h"
 #include "core/explorer.h"
 #include "core/faults/campaign.h"
 #include "core/faults/fault_model.h"
@@ -217,15 +216,13 @@ Explorer::RobustExplorationResult Explorer::explore_robust(
   std::set<std::string> seen;
   for (const auto& h : eopts.hardening) seen.insert(hardening_key(h));
 
-  // Incremental mode carries one encoding session across iterations: the
-  // common repair step — fold kAvoid hardenings back in — appends rows to
-  // the standing model instead of re-running Yen and rebuilding. kMargin
-  // hardenings (which retune the LQ prefilter) and replica raises
-  // invalidate the session; it rebuilds transparently on the next encode.
-  std::unique_ptr<IncrementalEncoder> session;
-  if (ropts.incremental && eopts.mode == EncoderOptions::PathMode::kApprox) {
-    session = std::make_unique<IncrementalEncoder>(*tmpl_, spec, eopts);
-  }
+  // One encoding session across iterations: the common repair step — fold
+  // kAvoid hardenings back in — appends rows to the standing model instead
+  // of re-running Yen and rebuilding. kMargin hardenings (which retune the
+  // LQ prefilter), replica raises and kFull mode rebuild transparently on
+  // the next encode. `hardened` decodes against the mutable spec copy.
+  IncrementalEncoder session(*tmpl_, spec, eopts);
+  const Explorer hardened(*tmpl_, spec);
 
   // Raises N_rep on every listed route still under the extra-replica cap;
   // returns false when no route can be raised any further.
@@ -239,7 +236,7 @@ Explorer::RobustExplorationResult Explorer::explore_robust(
       out.raised_routes.push_back(ri);
       any = true;
     }
-    if (any && session) session->invalidate();  // spec changed out of band
+    if (any) session.invalidate();  // spec changed out of band
     return any;
   };
 
@@ -267,38 +264,30 @@ Explorer::RobustExplorationResult Explorer::explore_robust(
     milp::SolveOptions sopts = ropts.solver;
     sopts.exec = ec;
     // True remaining budget, not the old 1s floor that granted time past
-    // exhaustion; milp::solve itself reports kDeadline at zero.
+    // exhaustion; the solver itself reports kDeadline at zero.
     sopts.time_limit_s = std::min(sopts.time_limit_s, remaining);
 
-    EncodedProblem fresh_ep;
-    if (!session) fresh_ep = Encoder(*tmpl_, spec, eopts).encode();
-    EncodedProblem& ep = session ? session->encode_k(eopts.k_star) : fresh_ep;
-    if (ep.stats.termination != TerminationReason::kCompleted) {
-      // Aborted encode: the partial model must not be solved.
-      out.termination = ep.stats.termination;
+    // No carry: after a hardening fold, a replica raise or a rebuild the
+    // previous assignment never extends, and a hardened optimum may
+    // legitimately be worse than its predecessor, so no cutoff either. The
+    // repair start runs after the lazy separators are installed, so its
+    // restricted solve is gated by the same lazy constraints.
+    RungCarry carry;
+    ExplorationResult er = hardened.explore_rung(
+        session, eopts.k_star, carry, sopts,
+        [&](const EncodedProblem& ep, const milp::SolveOptions& so) {
+          return have_prev ? repair_start(ep, prev_arch, eopts.hardening, so)
+                           : std::vector<double>{};
+        });
+
+    if (!er.has_solution() && util::exec::stopped_by_control(er.termination)) {
+      // The encoder or the solver was stopped, not defeated: an empty
+      // result here says nothing about feasibility (and a partial model
+      // is never solved), so do NOT escalate replicas off it.
+      out.termination = er.termination;
       break;
     }
-    if (eopts.lazy_separation) {
-      // Rebuilt per iteration: hardening folds and replica raises change
-      // the candidate set, and the separator snapshot must match the model
-      // being solved. Installed before the repair probe so its restricted
-      // solve is gated by the same lazy constraints.
-      LazySeparation(*tmpl_, ep).install(sopts);
-    }
-    if (have_prev && sopts.mip_start.empty()) {
-      sopts.mip_start = repair_start(ep, prev_arch, eopts.hardening, sopts);
-    }
-
-    const util::Stopwatch iter_clock;
-    const milp::MipResult res = milp::solve(ep.model, sopts);
-
-    if (!res.has_solution() && util::exec::stopped_by_control(res.stats.termination)) {
-      // The solver was stopped, not defeated: an empty result here says
-      // nothing about feasibility, so do NOT escalate replicas off it.
-      out.termination = res.stats.termination;
-      break;
-    }
-    if (!res.has_solution()) {
+    if (!er.has_solution()) {
       // Hardened model is infeasible: no candidate set can dodge the failed
       // elements at the current redundancy. Raise N_rep on the hardened
       // routes and re-encode; if nothing can be raised, settle for the
@@ -310,17 +299,6 @@ Explorer::RobustExplorationResult Explorer::explore_robust(
       if (!raise_replicas(targets)) break;
       continue;
     }
-
-    ExplorationResult er;
-    er.status = res.status;
-    er.encode_stats = ep.stats;
-    er.solve_stats = res.stats;
-    er.termination = res.stats.termination;
-    er.bound = res.stats.bound;
-    er.gap = res.stats.gap;
-    er.objective = res.objective;
-    er.architecture = decode_solution(ep, *tmpl_, spec, res.x);
-    er.total_time_s = iter_clock.seconds();
 
     const auto report = faults::CampaignRunner(*tmpl_, spec, copts)
                             .run(er.architecture, fmodel.scenarios(er.architecture));
@@ -364,7 +342,7 @@ Explorer::RobustExplorationResult Explorer::explore_robust(
       continue;
     }
     out.hardenings_applied += static_cast<int>(fresh.size());
-    if (session) session->append_hardenings(fresh);  // kAvoid appends in place
+    session.append_hardenings(fresh);  // kAvoid appends in place
     for (auto& h : fresh) eopts.hardening.push_back(std::move(h));
 
     // A route that keeps failing across consecutive iterations is chasing

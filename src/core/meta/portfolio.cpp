@@ -138,10 +138,9 @@ PortfolioResult PortfolioRunner::run(const PortfolioOptions& opts) const {
   util::exec::ExecControl spine = opts.solver.exec;
   spine.deadline = spine.deadline.tightened(opts.solver.time_limit_s);
 
-  Explorer ex(*tmpl_, *spec_);
   EncoderOptions eopts = opts.encoder;
   eopts.exec = spine;  // the encoder checkpoints on the spine control
-  const EncodedProblem ep = ex.encode(eopts);
+  const EncodedProblem ep = Encoder(*tmpl_, *spec_, eopts).encode();
   out.encode_stats = ep.stats;
   out.encode_time_s = ep.stats.encode_time_s;
   if (ep.stats.termination != util::exec::TerminationReason::kCompleted) {

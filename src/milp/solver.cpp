@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -23,6 +22,15 @@ using simplex::DualSimplex;
 using simplex::LpResult;
 using simplex::LpStatus;
 using simplex::StandardLp;
+
+/// Pseudocost directions with fewer observations than this blend toward
+/// the tree-wide average (reliability branching).
+constexpr int kPseudocostReliability = 4;
+/// Activity-propagation sweeps per node before its LP.
+constexpr int kNodePropagationRounds = 2;
+/// Once this many numerical failures have accumulated in one solve, warm
+/// bases are treated as tainted and every node LP starts cold.
+constexpr long kColdRestartAfterFailures = 25;
 
 /// One bound tightening on the path from the root to a node; chained via
 /// shared parents so sibling subtrees share prefixes.
@@ -116,8 +124,8 @@ class BranchAndBound {
   /// the reliability threshold (branching-mix telemetry).
   [[nodiscard]] bool pseudocost_reliable(int col) const {
     const int k = col_to_k_[static_cast<size_t>(col)];
-    return pc_up_[static_cast<size_t>(k)].n >= opts_.pseudocost_reliability &&
-           pc_down_[static_cast<size_t>(k)].n >= opts_.pseudocost_reliability;
+    return pc_up_[static_cast<size_t>(k)].n >= kPseudocostReliability &&
+           pc_down_[static_cast<size_t>(k)].n >= kPseudocostReliability;
   }
 
   /// Records one pseudocost observation from a solved child LP.
@@ -290,7 +298,7 @@ bool BranchAndBound::propagate_node(const std::shared_ptr<const BoundChange>& ch
   }
 
   PropagateOptions po;
-  po.max_sweeps = opts_.node_propagation_rounds;
+  po.max_sweeps = kNodePropagationRounds;
   po.integers_only = true;
   const PropagateResult res = propagate_bounds(*rows_, prop_lb_, prop_ub_, seeds, po);
   if (res.infeasible) return false;
@@ -387,7 +395,7 @@ LpResult BranchAndBound::solve_lp(const Basis* basis) {
   // Past the cold-restart threshold, inherited bases are suspect (stale or
   // ill-conditioned factorizations keep tripping the engine): start cold.
   const bool warm_ok = opts_.warm_start &&
-                       stats_.numerical_failures < opts_.cold_restart_after_failures;
+                       stats_.numerical_failures < kColdRestartAfterFailures;
   LpResult res;
   if (basis != nullptr && warm_ok) {
     ++stats_.warm_attempts;
@@ -442,10 +450,10 @@ int BranchAndBound::pick_branch_var(const std::vector<double>& x) const {
   const double avg_up = pc_all_up_.n > 0 ? pc_all_up_.sum / static_cast<double>(pc_all_up_.n) : 1.0;
   const double avg_down =
       pc_all_down_.n > 0 ? pc_all_down_.sum / static_cast<double>(pc_all_down_.n) : 1.0;
-  const int rel = std::max(1, opts_.pseudocost_reliability);
   // Below the reliability threshold, blend the variable's own average with
   // the tree-wide one in proportion to how much history it has.
-  const auto blend = [rel](const Pseudocost& pc, double avg) {
+  constexpr int rel = kPseudocostReliability;
+  const auto blend = [](const Pseudocost& pc, double avg) {
     if (pc.n >= rel) return pc.sum / static_cast<double>(pc.n);
     return (pc.sum + static_cast<double>(rel - pc.n) * avg) / static_cast<double>(rel);
   };
@@ -544,10 +552,6 @@ bool BranchAndBound::try_incumbent(const std::vector<double>& x) {
       util::obs::TraceRecorder::global().record_counter("milp/incumbent_objective", obj);
     }
     apply_reduced_cost_fixing();
-    if (opts_.verbose) {
-      std::fprintf(stderr, "[milp] incumbent %.6g after %ld nodes, %.1fs\n", obj, stats_.nodes,
-                   clock_.seconds());
-    }
     return true;
   }
   return false;

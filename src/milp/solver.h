@@ -35,7 +35,6 @@ struct SolveOptions {
   double rel_gap = 1e-6;     ///< relative optimality gap for termination
   double int_tol = 1e-6;     ///< integrality tolerance
   bool root_dive = true;     ///< run the diving heuristic after the root LP
-  bool verbose = false;
   /// Optional MIP start: values for the model's variables. Accepted as the
   /// initial incumbent if it passes the model's own feasibility check.
   std::vector<double> mip_start;
@@ -56,20 +55,18 @@ struct SolveOptions {
 
   /// Pseudocost branching: rank fractional variables by the observed
   /// per-unit objective degradation of past up/down branchings instead of
-  /// raw fractionality. Directions with fewer than
-  /// `pseudocost_reliability` observations blend toward the tree-wide
-  /// average (and, before any branching history exists at all, the rule
-  /// degenerates to most-fractional), so early branchings behave like the
-  /// textbook rule and later ones exploit learned costs.
+  /// raw fractionality. Directions with fewer than four observations
+  /// blend toward the tree-wide average (and, before any branching history
+  /// exists at all, the rule degenerates to most-fractional), so early
+  /// branchings behave like the textbook rule and later ones exploit
+  /// learned costs.
   bool pseudocost_branching = true;
-  int pseudocost_reliability = 4;
 
   /// Node-level bound propagation: before each node LP, run activity-based
   /// tightening of the integer bounds implied by the node's branching
   /// chain. Nodes proven infeasible by propagation are pruned without any
   /// LP work; tightened bounds shrink the dual simplex's repair distance.
   bool node_propagation = true;
-  int node_propagation_rounds = 2;
 
   /// Warm-start node LPs from the parent's final basis (dual simplex keeps
   /// dual feasibility across bound changes). Off = every node starts from
@@ -84,10 +81,8 @@ struct SolveOptions {
   /// numerical trouble, re-solve it from scratch (cold dual simplex, fresh
   /// factorization) with a 10x larger iteration budget per escalation —
   /// up to this many escalations — instead of abandoning the subtree.
+  /// Past 25 accumulated failures, every node LP starts cold.
   int max_numerical_retries = 3;
-  /// Once this many numerical failures have accumulated in one solve, warm
-  /// bases are treated as tainted and every node LP starts cold.
-  long cold_restart_after_failures = 25;
 
   /// Cut separation: callbacks invoked on node LP points, a deduplicating
   /// pool, and the lazy-constraint gate on candidate incumbents. Empty

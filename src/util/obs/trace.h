@@ -22,7 +22,8 @@
 //   encode/yen_route   per-route Yen enumeration          (args: route, replicas, candidates)
 //   encode/delta       incremental delta-extension        (args: from_k, to_k, reused)
 //   kstar/rung         one K* ladder rung, encode + solve (args: k); a
-//                      plain explore() is a one-rung session and emits it too
+//                      plain explore() is a one-rung session and emits it
+//                      too, as does each robust/iteration (nested)
 //   milp/solve         one branch-and-bound run           (args: nodes, lp_iterations)
 //   milp/root_lp       the root LP solve
 //   milp/node_lp       sampled node LPs (1 in 64)         (args: node, depth)

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "channel/propagation.h"
 #include "core/solution.h"
 
@@ -103,6 +107,46 @@ TEST_F(ExplorerScenario, ExplicitMipStartPassesThrough) {
   const auto seeded = milp::solve(ep.model, limited);
   ASSERT_TRUE(seeded.has_solution());
   EXPECT_LE(seeded.objective, direct.objective + 1e-6);
+}
+
+TEST_F(ExplorerScenario, RungStartReplacesFixedRoutingProbe) {
+  // With no extendable carry, explore_rung warm-starts from `start` when
+  // one is given and from the fixed-routing probe otherwise.
+  const Explorer ex(tmpl_, spec_);
+  milp::SolveOptions so;
+  so.time_limit_s = 60.0;
+  const EncoderOptions eo;
+  const auto rung = [&](Explorer::RungCarry& carry, const Explorer::RungStart& start) {
+    IncrementalEncoder session(tmpl_, spec_, eo);
+    return ex.explore_rung(session, eo.k_star, carry, so, start);
+  };
+
+  Explorer::RungCarry probed_carry;
+  const ExplorationResult probed = rung(probed_carry, {});
+  ASSERT_TRUE(probed.has_solution());
+  EXPECT_TRUE(probed.solve_stats.mip_start_used);
+
+  int calls = 0;
+  Explorer::RungCarry cold_carry;
+  const ExplorationResult cold =
+      rung(cold_carry, [&](const EncodedProblem&, const milp::SolveOptions&) {
+        ++calls;
+        return std::vector<double>{};
+      });
+  ASSERT_TRUE(cold.has_solution());
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(cold.solve_stats.mip_start_used);
+
+  Explorer::RungCarry seeded_carry;
+  const ExplorationResult seeded =
+      rung(seeded_carry, [&](const EncodedProblem& ep, const milp::SolveOptions&) {
+        EXPECT_EQ(ep.model.num_vars(), static_cast<int>(probed_carry.x.size()));
+        return probed_carry.x;
+      });
+  ASSERT_TRUE(seeded.has_solution());
+  EXPECT_TRUE(seeded.solve_stats.mip_start_used);
+  EXPECT_NEAR(seeded.objective, probed.objective,
+              1e-6 * std::max(1.0, std::abs(probed.objective)));
 }
 
 TEST_F(ExplorerScenario, NoRoutesMeansLocalizationOnlyStillRuns) {

@@ -157,5 +157,34 @@ TEST_F(FaultCampaign, ExploreRobustRepairsSingleFailuresDeterministically) {
   EXPECT_EQ(r1.report.to_json(), r2.report.to_json());
 }
 
+TEST_F(FaultCampaign, ExploreRobustFullModeRunsOnTheSession) {
+  // The exact flow encoding has no candidate set to reuse: the repair
+  // loop's session rebuilds on every encode, and the loop must still land
+  // on a verified architecture and rerun bit-identically.
+  const Explorer ex(tmpl_, spec_);
+  Explorer::RobustExploreOptions ro;
+  ro.encoder.mode = EncoderOptions::PathMode::kFull;
+  ro.solver.time_limit_s = 30.0;
+  ro.faults.seed = 3;
+  ro.faults.max_simultaneous_failures = 1;
+  ro.faults.fading_draws = 8;
+  ro.faults.fading_sigma_db = 2.0;
+  ro.time_budget_s = 120.0;
+  ro.max_repair_iterations = 4;
+
+  const auto r1 = ex.explore_robust(ro);
+  ASSERT_TRUE(r1.best.has_solution());
+  EXPECT_EQ(r1.termination, util::exec::TerminationReason::kCompleted);
+  EXPECT_TRUE(verify_architecture(r1.best.architecture, tmpl_, spec_).ok);
+  EXPECT_EQ(r1.best.encode_stats.reused_candidates, 0);
+  EXPECT_GT(r1.iterations, 1);  // at least one rebuild after a hardening fold
+
+  const auto r2 = ex.explore_robust(ro);
+  EXPECT_EQ(r1.iterations, r2.iterations);
+  EXPECT_EQ(r1.robust, r2.robust);
+  EXPECT_EQ(r1.best.objective, r2.best.objective);
+  EXPECT_EQ(r1.report.to_json(), r2.report.to_json());
+}
+
 }  // namespace
 }  // namespace wnet::archex

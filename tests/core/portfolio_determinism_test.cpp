@@ -1,4 +1,4 @@
-// Portfolio / tabu / sensitivity correctness and determinism.
+// Portfolio / tabu correctness and determinism.
 //
 //  - TabuOracle: the tabu explorer's incumbents are genuine full-model
 //    solutions, never better than the true optimum, and on a small template
@@ -8,7 +8,6 @@
 //    across 1/2/4/8 worker threads, with and without injected cancellation
 //    (the CheckpointInjector fires at spine checkpoints only, so every
 //    thread count stops at the same logical point).
-//  - Sensitivity: strict JSON, deterministic across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +20,6 @@
 #include "channel/propagation.h"
 #include "core/explorer.h"
 #include "core/meta/portfolio.h"
-#include "core/meta/sensitivity.h"
 #include "core/meta/tabu.h"
 #include "milp/tol.h"
 #include "util/exec/exec.h"
@@ -80,7 +78,6 @@ class MetaFixture : public ::testing::Test {
 
 using TabuOracle = MetaFixture;
 using PortfolioDeterminism = MetaFixture;
-using SensitivitySweep = MetaFixture;
 
 /// Brute force over every full selector assignment (one candidate per
 /// (route, replica) group), completing each with the restricted sizing
@@ -119,7 +116,7 @@ TEST_F(TabuOracle, MatchesBruteForceAndExplorerOnSmallTemplate) {
   const ExplorationResult ref = ex.explore(encoder_opts(), {});
   ASSERT_TRUE(ref.has_solution());
 
-  const EncodedProblem ep = ex.encode(encoder_opts());
+  const EncodedProblem ep = Encoder(tmpl_, spec_, encoder_opts()).encode();
   const double brute = brute_force_best(ep);
   ASSERT_LT(brute, milp::kInf);
   // The assignment space contains the exact optimum (components re-sized
@@ -140,7 +137,7 @@ TEST_F(TabuOracle, IncumbentsAreModelFeasibleAndNeverBeatTheOptimum) {
   const Explorer ex(tmpl_, spec_);
   const ExplorationResult ref = ex.explore(encoder_opts(), {});
   ASSERT_TRUE(ref.has_solution());
-  const EncodedProblem ep = ex.encode(encoder_opts());
+  const EncodedProblem ep = Encoder(tmpl_, spec_, encoder_opts()).encode();
 
   for (const uint64_t seed : {1ull, 2ull, 3ull}) {
     meta::TabuOptions topts;
@@ -157,8 +154,7 @@ TEST_F(TabuOracle, IncumbentsAreModelFeasibleAndNeverBeatTheOptimum) {
 }
 
 TEST_F(TabuOracle, AspirationBoundCertifiesTheIncumbent) {
-  const Explorer ex(tmpl_, spec_);
-  const EncodedProblem ep = ex.encode(encoder_opts());
+  const EncodedProblem ep = Encoder(tmpl_, spec_, encoder_opts()).encode();
   meta::TabuOptions topts;
   meta::TabuSearch tabu(ep, topts);
   tabu.run(20);
@@ -174,8 +170,7 @@ TEST_F(TabuOracle, AspirationBoundCertifiesTheIncumbent) {
 TEST_F(TabuOracle, ResumedScheduleMatchesOneShot) {
   // run(2) five times must visit the same states as run(10) once: sampling
   // is keyed by (seed, iteration index), not by call boundaries.
-  const Explorer ex(tmpl_, spec_);
-  const EncodedProblem ep = ex.encode(encoder_opts());
+  const EncodedProblem ep = Encoder(tmpl_, spec_, encoder_opts()).encode();
 
   meta::TabuOptions topts;
   topts.seed = 11;
@@ -252,37 +247,6 @@ TEST_F(PortfolioDeterminism, InjectedCancellationIsThreadCountInvariant) {
       EXPECT_EQ(r.canonical_signature(), sig)
           << "fire_at " << fire_at << " threads " << threads;
     }
-  }
-}
-
-TEST_F(SensitivitySweep, StrictJsonGradientsAndThreadInvariance) {
-  meta::SensitivityOptions sopts;
-  sopts.encoder = encoder_opts();
-  sopts.snr_deltas_db = {-1.0, 1.0};
-  sopts.threads = 1;
-  const meta::SensitivityReport rep = meta::explore_sensitivity(tmpl_, spec_, sopts);
-  ASSERT_TRUE(rep.base.has_solution());
-  ASSERT_EQ(rep.points.size(), 2u);
-  EXPECT_TRUE(util::obs::json_valid(rep.to_json())) << rep.to_json();
-  ASSERT_EQ(rep.gradients.size(), 1u);
-  EXPECT_EQ(rep.gradients[0].parameter, "min_snr_db");
-
-  // Loosening the SNR floor can only help (superset feasible region):
-  // objective at -1 dB <= base <= objective at +1 dB when both feasible.
-  const meta::SensitivityPoint& loose = rep.points[0];
-  const meta::SensitivityPoint& tight = rep.points[1];
-  ASSERT_EQ(loose.delta, -1.0);
-  if (loose.feasible) EXPECT_LE(loose.objective, rep.base.objective + 1e-6);
-  if (tight.feasible) EXPECT_GE(tight.objective, rep.base.objective - 1e-6);
-
-  meta::SensitivityOptions threaded = sopts;
-  threaded.threads = 4;
-  const meta::SensitivityReport rep4 = meta::explore_sensitivity(tmpl_, spec_, threaded);
-  ASSERT_EQ(rep4.points.size(), rep.points.size());
-  for (size_t i = 0; i < rep.points.size(); ++i) {
-    EXPECT_EQ(rep4.points[i].parameter, rep.points[i].parameter);
-    EXPECT_EQ(rep4.points[i].status, rep.points[i].status);
-    EXPECT_DOUBLE_EQ(rep4.points[i].objective, rep.points[i].objective);
   }
 }
 
