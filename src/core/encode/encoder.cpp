@@ -63,17 +63,25 @@ ChargeCoefs charge_coefs(const Component& c, const RadioConfig& radio) {
   };
 }
 
+void check_endpoints(const NetworkTemplate& tmpl, const Specification& spec) {
+  for (const auto& r : spec.routes) {
+    if (r.source < 0 || r.source >= tmpl.num_nodes() || r.dest < 0 ||
+        r.dest >= tmpl.num_nodes()) {
+      throw std::out_of_range("Encoder: route endpoint outside template");
+    }
+  }
+}
+
 /// Whole encoding pass, kept as one stateful builder so the full and
-/// approximate modes share every non-path emitter verbatim.
+/// approximate modes share every non-path emitter verbatim, and the fresh
+/// build and the K* delta share every candidate emitter: each takes the
+/// first candidate index it covers (0 for the fresh build, where every row
+/// is new; the first appended candidate for a delta, where most rows
+/// already exist and are widened in place).
 class Build {
  public:
   Build(const NetworkTemplate& tmpl, const Specification& spec, const EncoderOptions& opts)
       : t_(tmpl), s_(spec), o_(opts), g_(tmpl.build_graph()) {}
-
-  EncodedProblem run() {
-    execute();
-    return std::move(p_);
-  }
 
   /// Full build, leaving the problem (and the resumable bookkeeping) inside
   /// the builder so an incremental session can delta-extend it later.
@@ -175,6 +183,10 @@ class Build {
 
   [[nodiscard]] int encoded_k() const { return encoded_k_; }
 
+  /// False once a stop cut the build short: the partial model must be
+  /// rebuilt, never reused or extended.
+  [[nodiscard]] bool complete() const { return stop_why_ == TerminationReason::kCompleted; }
+
  private:
   void refresh_stats() {
     p_.stats.num_vars = p_.model.num_vars();
@@ -201,14 +213,15 @@ class Build {
     return it == lq_margin_.end() ? 0.0 : it->second;
   }
 
-  [[nodiscard]] static bool path_avoids(const Path& p, const HardeningConstraint& hc) {
-    for (int v : hc.nodes) {
-      if (graph::path_uses_node(p, v)) return false;
+  /// Selectors of the candidates from `first` on that serve hc's route
+  /// and comply with it.
+  [[nodiscard]] LinExpr compliant_selectors(const HardeningConstraint& hc, size_t first) const {
+    LinExpr ok;
+    for (size_t ci = first; ci < p_.candidates.size(); ++ci) {
+      const auto& c = p_.candidates[ci];
+      if (c.route_index == hc.route_index && path_avoids(c.path, hc)) ok += LinExpr(c.selector);
     }
-    for (const auto& [a, b] : hc.links) {
-      if (graph::path_uses_link(p, a, b)) return false;
-    }
-    return true;
+    return ok;
   }
 
   /// kAvoid hardenings: per constraint, at least one replica of the route
@@ -227,13 +240,8 @@ class Build {
       if (hc.route_index < 0 || hc.route_index >= static_cast<int>(s_.routes.size())) return;
 
       if (o_.mode == EncoderOptions::PathMode::kApprox) {
-        LinExpr ok;
-        bool any = false;
-        for (const auto& c : p_.candidates) {
-          if (c.route_index != hc.route_index || !path_avoids(c.path, hc)) continue;
-          ok += LinExpr(c.selector);
-          any = true;
-        }
+        LinExpr ok = compliant_selectors(hc, 0);
+        const bool any = ok.size() > 0;
         if (!any) {
           // No candidate can dodge the failed set: the hardening is
           // unsatisfiable under this K*/replica budget. Encode the verdict
@@ -490,128 +498,181 @@ class Build {
   }
 
   void emit_approx_paths() {
-    // Selector binaries.
-    for (auto& pc : pending_candidates_) {
+    add_selectors(pending_candidates_);
+    pending_candidates_.clear();
+    Linking l = linking_of(0);
+    widen_rows(l.group, group_row_, &Build::new_group_row);
+    // Lazy mode keeps the relaxed skeleton only: the group linking rows
+    // (the dominant family at scale) are counted here and recovered on
+    // demand by the LazySeparation callbacks during the solve.
+    widen_rows(l.group_edge, group_edge_row_, &Build::new_group_edge_row, o_.lazy_separation);
+    widen_rows(l.group_node, group_node_row_, &Build::new_group_node_row, o_.lazy_separation);
+    widen_rows(l.users, users_row_, &Build::new_users_row);
+    widen_cover(0);
+    for (size_t a = 0; a < p_.candidates.size(); ++a) {
+      for (size_t b = a + 1; b < p_.candidates.size(); ++b) emit_conflict(a, b);
+    }
+  }
+
+  /// Selector binaries for a batch of new candidates, appended in order.
+  void add_selectors(std::vector<PendingCandidate>& batch) {
+    for (auto& pc : batch) {
       const Var y = p_.model.add_binary("y_r" + std::to_string(pc.route_index) + "_rep" +
                                         std::to_string(pc.replica) + "_" +
                                         std::to_string(p_.candidates.size()));
       p_.model.set_branch_priority(y, 3);  // structural decisions branch first
       p_.candidates.push_back({std::move(pc.path), y, pc.route_index, pc.replica});
     }
-    pending_candidates_.clear();
+  }
 
-    // Group selection: exactly one candidate per (route, replica) group.
-    // Equality (rather than >= 1) is lossless — dropping a surplus path
-    // only relaxes the remaining constraints — and it licenses the
-    // aggregated implications below, which tighten the LP relaxation
-    // substantially (a fractional unit of path mass forces a full unit of
-    // edge/node mass instead of 1/K of it).
+  using GroupKey = std::pair<int, int>;                 ///< (route, rep)
+  using GroupEdgeKey = std::tuple<int, int, int, int>;  ///< (route, rep, i, j)
+  using GroupNodeKey = std::tuple<int, int, int>;       ///< (route, rep, node)
+
+  /// Selector mass of the candidates from `first` on, per linking row.
+  struct Linking {
+    std::map<GroupKey, LinExpr> group;
+    std::map<EdgeKey, LinExpr> users;
+    std::map<GroupEdgeKey, LinExpr> group_edge;
+    std::map<GroupNodeKey, LinExpr> group_node;
+  };
+
+  [[nodiscard]] Linking linking_of(size_t first) const {
+    Linking l;
+    // Every (route, replica) group has a row, so groups without candidates
+    // are keyed too: the fresh build pins them infeasible, a delta adds
+    // nothing to them.
     for (size_t ri = 0; ri < s_.routes.size(); ++ri) {
-      const int nrep = std::max(1, s_.routes[ri].replicas);
-      for (int rep = 0; rep < nrep; ++rep) {
-        LinExpr any;
-        bool has = false;
-        for (const auto& c : p_.candidates) {
-          if (c.route_index == static_cast<int>(ri) && c.replica == rep) {
-            any += LinExpr(c.selector);
-            has = true;
-          }
-        }
-        if (!has) {
-          // No surviving candidate: the requirement is unsatisfiable under
-          // this K*; encode that verdict explicitly.
-          const Var zero = p_.model.add_binary("no_candidate");
-          p_.model.set_bounds(zero, 0.0, 0.0);
-          any += LinExpr(zero);
-          group_unsat_.insert({static_cast<int>(ri), rep});
-        }
-        group_row_[{static_cast<int>(ri), rep}] =
-            p_.model.add_eq(std::move(any), 1.0,
-                            "route" + std::to_string(ri) + "_rep" + std::to_string(rep));
+      for (int rep = 0; rep < std::max(1, s_.routes[ri].replicas); ++rep) {
+        l.group[{static_cast<int>(ri), rep}];
       }
     }
-
-    // Edge activation, aggregated per group: since exactly one candidate
-    // of a group is chosen, e_ij >= sum of the group's selectors using ij
-    // is valid and dominates the per-candidate form y <= e.
-    std::map<EdgeKey, LinExpr> users;
-    std::map<std::tuple<int, int, int, int>, LinExpr> group_edge;   // (route, rep, i, j)
-    std::map<std::tuple<int, int, int>, LinExpr> group_node;        // (route, rep, node)
-    for (const auto& c : p_.candidates) {
+    for (size_t ci = first; ci < p_.candidates.size(); ++ci) {
+      const auto& c = p_.candidates[ci];
+      l.group[{c.route_index, c.replica}] += LinExpr(c.selector);
       for (size_t k = 0; k + 1 < c.path.nodes.size(); ++k) {
         const EdgeKey key{c.path.nodes[k], c.path.nodes[k + 1]};
-        users[key] += LinExpr(c.selector);
-        group_edge[{c.route_index, c.replica, key.first, key.second}] += LinExpr(c.selector);
+        l.users[key] += LinExpr(c.selector);
+        l.group_edge[{c.route_index, c.replica, key.first, key.second}] += LinExpr(c.selector);
       }
       for (int v : c.path.nodes) {
         if (t_.node(v).kind == NodeKind::kFixed) continue;  // u already 1
-        group_node[{c.route_index, c.replica, v}] += LinExpr(c.selector);
+        l.group_node[{c.route_index, c.replica, v}] += LinExpr(c.selector);
       }
     }
-    // Lazy mode keeps the relaxed skeleton only: the group linking rows
-    // (the dominant family at scale) are skipped here and recovered on
-    // demand by the LazySeparation callbacks during the solve.
-    if (o_.lazy_separation) {
-      p_.stats.lazy_rows_omitted +=
-          static_cast<int>(group_edge.size() + group_node.size());
-    } else {
-      for (auto& [key, expr] : group_edge) {
-        expr -= LinExpr(p_.edge_active.at({std::get<2>(key), std::get<3>(key)}));
-        group_edge_row_[key] = p_.model.add_le(std::move(expr), 0.0);  // group path mass <= e
-      }
-      for (auto& [key, expr] : group_node) {
-        expr -= LinExpr(p_.node_used[static_cast<size_t>(std::get<2>(key))]);
-        group_node_row_[key] = p_.model.add_le(std::move(expr), 0.0);  // group path mass <= u
-      }
-    }
-    for (auto& [key, expr] : users) {
-      expr -= LinExpr(p_.edge_active.at(key));
-      users_row_[key] = p_.model.add_ge(std::move(expr), 0.0);  // e <= sum of users
-    }
+    return l;
+  }
 
-    // Relay-cover cuts: whichever candidate a group picks, it deploys at
-    // least h_g = min-over-candidates relay count, all drawn from the
-    // union of the group's relay sets. Redundant for integer solutions
-    // but lifts the LP bound (fractional path mass can no longer spread
-    // relay usage below the unavoidable minimum).
-    {
-      for (const auto& c : p_.candidates) {
-        auto [it, fresh] = cover_data_.try_emplace({c.route_index, c.replica},
-                                                   std::set<int>{}, INT32_MAX);
-        int relays = 0;
-        for (int v : c.path.nodes) {
-          if (t_.node(v).kind == NodeKind::kFixed) continue;
-          it->second.first.insert(v);
-          ++relays;
-        }
-        it->second.second = std::min(it->second.second, relays);
+  /// Adds each keyed delta to its existing row, or creates the missing row
+  /// (in key order) through `create`. A `lazy` family counts the missing
+  /// rows instead of emitting them.
+  template <class Key>
+  void widen_rows(std::map<Key, LinExpr>& delta, std::map<Key, int>& rows,
+                  int (Build::*create)(const Key&, LinExpr), bool lazy = false) {
+    for (auto& [key, expr] : delta) {
+      const auto it = rows.find(key);
+      if (it != rows.end()) {
+        p_.model.add_terms_to_constr(it->second, expr);
+      } else if (lazy) {
+        ++p_.stats.lazy_rows_omitted;
+      } else {
+        rows.emplace(key, (this->*create)(key, std::move(expr)));
       }
-      for (const auto& [key, uc] : cover_data_) {
-        if (uc.second <= 0 || uc.first.empty()) continue;
-        LinExpr sum;
-        for (int v : uc.first) sum += LinExpr(p_.node_used[static_cast<size_t>(v)]);
+    }
+  }
+
+  /// Group selection: exactly one candidate per (route, replica) group.
+  /// Equality (rather than >= 1) is lossless — dropping a surplus path
+  /// only relaxes the remaining constraints — and it licenses the
+  /// aggregated implications below, which tighten the LP relaxation
+  /// substantially (a fractional unit of path mass forces a full unit of
+  /// edge/node mass instead of 1/K of it).
+  int new_group_row(const GroupKey& key, LinExpr any) {
+    if (any.size() == 0) {
+      // No surviving candidate: the requirement is unsatisfiable under
+      // this K*; encode that verdict explicitly.
+      const Var zero = p_.model.add_binary("no_candidate");
+      p_.model.set_bounds(zero, 0.0, 0.0);
+      any += LinExpr(zero);
+      group_unsat_.insert(key);
+    }
+    return p_.model.add_eq(std::move(any), 1.0,
+                           "route" + std::to_string(key.first) + "_rep" +
+                               std::to_string(key.second));
+  }
+
+  /// Edge activation, aggregated per group: since exactly one candidate of
+  /// a group is chosen, e_ij >= sum of the group's selectors using ij is
+  /// valid and dominates the per-candidate form y <= e.
+  int new_group_edge_row(const GroupEdgeKey& key, LinExpr expr) {
+    expr -= LinExpr(p_.edge_active.at({std::get<2>(key), std::get<3>(key)}));
+    return p_.model.add_le(std::move(expr), 0.0);  // group path mass <= e
+  }
+
+  int new_group_node_row(const GroupNodeKey& key, LinExpr expr) {
+    expr -= LinExpr(p_.node_used[static_cast<size_t>(std::get<2>(key))]);
+    return p_.model.add_le(std::move(expr), 0.0);  // group path mass <= u
+  }
+
+  int new_users_row(const EdgeKey& key, LinExpr expr) {
+    expr -= LinExpr(p_.edge_active.at(key));
+    return p_.model.add_ge(std::move(expr), 0.0);  // e <= sum of users
+  }
+
+  /// Relay-cover cuts: whichever candidate a group picks, it deploys at
+  /// least h_g = min-over-candidates relay count, all drawn from the union
+  /// of the group's relay sets. Redundant for integer solutions but lifts
+  /// the LP bound (fractional path mass can no longer spread relay usage
+  /// below the unavoidable minimum). Candidates from `first` on grow the
+  /// union and lower the minimum. Only the fresh build creates rows (for
+  /// groups whose minimum is nonzero): a group without one already has
+  /// minimum zero, and a delta that would drop a row's minimum to zero
+  /// rebuilds instead.
+  void widen_cover(size_t first) {
+    std::map<GroupKey, std::pair<std::set<int>, int>> delta;
+    for (size_t ci = first; ci < p_.candidates.size(); ++ci) {
+      const auto& c = p_.candidates[ci];
+      auto [it, fresh] = delta.try_emplace({c.route_index, c.replica}, std::set<int>{}, INT32_MAX);
+      int relays = 0;
+      for (int v : c.path.nodes) {
+        if (t_.node(v).kind == NodeKind::kFixed) continue;
+        it->second.first.insert(v);
+        ++relays;
+      }
+      it->second.second = std::min(it->second.second, relays);
+    }
+    for (const auto& [key, uc] : delta) {
+      auto& data = cover_data_.try_emplace(key, std::set<int>{}, INT32_MAX).first->second;
+      LinExpr grown;
+      for (int v : uc.first) {
+        if (data.first.insert(v).second) grown += LinExpr(p_.node_used[static_cast<size_t>(v)]);
+      }
+      const int h = std::min(data.second, uc.second);
+      const auto row = cover_row_.find(key);
+      if (row != cover_row_.end()) {
+        p_.model.add_terms_to_constr(row->second, grown);
+        if (h != data.second) p_.model.set_constr_rhs(row->second, static_cast<double>(h));
+      } else if (h > 0 && !data.first.empty()) {
         cover_row_[key] = p_.model.add_ge(
-            std::move(sum), static_cast<double>(uc.second),
+            std::move(grown), static_cast<double>(h),
             "cover_r" + std::to_string(key.first) + "_" + std::to_string(key.second));
       }
+      data.second = h;
     }
+  }
 
-    // Disjointness of chosen replicas (the (1d) analog on candidates):
-    // same-route candidates from different groups sharing an edge conflict.
-    // Lazy mode counts the O(K^2) pairs instead of emitting them.
-    for (size_t a = 0; a < p_.candidates.size(); ++a) {
-      for (size_t b = a + 1; b < p_.candidates.size(); ++b) {
-        const auto& ca = p_.candidates[a];
-        const auto& cb = p_.candidates[b];
-        if (ca.route_index != cb.route_index || ca.replica == cb.replica) continue;
-        if (graph::shared_edges(ca.path, cb.path) > 0) {
-          if (o_.lazy_separation) {
-            ++p_.stats.lazy_rows_omitted;
-          } else {
-            p_.model.add_le(LinExpr(ca.selector) + LinExpr(cb.selector), 1.0);
-          }
-        }
-      }
+  /// Disjointness of chosen replicas (the (1d) analog on candidates):
+  /// same-route candidates from different groups sharing an edge conflict.
+  /// Lazy mode counts the O(K^2) pairs instead of emitting them.
+  void emit_conflict(size_t a, size_t b) {
+    const auto& ca = p_.candidates[a];
+    const auto& cb = p_.candidates[b];
+    if (ca.route_index != cb.route_index || ca.replica == cb.replica) return;
+    if (graph::shared_edges(ca.path, cb.path) == 0) return;
+    if (o_.lazy_separation) {
+      ++p_.stats.lazy_rows_omitted;
+    } else {
+      p_.model.add_le(LinExpr(ca.selector) + LinExpr(cb.selector), 1.0);
     }
   }
 
@@ -707,20 +768,24 @@ class Build {
     // incident active edge now, or a localization reach var added later.
     // Collect incident edges here; emit_localization() extends the expr.
     for (int i : node_in_scope_) {
-      if (t_.node(i).kind == NodeKind::kFixed) continue;
-      LinExpr& users = node_users_[i];
-      for (const auto& [key, e] : p_.edge_active) {
-        if (key.first == i || key.second == i) users += LinExpr(e);
+      if (t_.node(i).kind != NodeKind::kFixed) node_users_[i];
+    }
+    add_edge_users(scope_edges_, node_users_);
+  }
+
+  /// Adds each edge's activation to the users of its candidate endpoints.
+  void add_edge_users(const std::set<EdgeKey>& edges, std::map<int, LinExpr>& users) const {
+    for (const EdgeKey& key : edges) {
+      const Var e = p_.edge_active.at(key);
+      for (const int v : {key.first, key.second}) {
+        if (t_.node(v).kind != NodeKind::kFixed) users[v] += LinExpr(e);
       }
     }
   }
 
-  void finalize_node_upper_links() {
-    for (auto& [i, users] : node_users_) {
-      users -= LinExpr(p_.node_used[static_cast<size_t>(i)]);
-      used_ub_row_[i] = p_.model.add_ge(std::move(users), 0.0, "used_ub_" + t_.node(i).name);
-    }
-    node_users_.clear();
+  int new_used_ub_row(const int& i, LinExpr users) {
+    users -= LinExpr(p_.node_used[static_cast<size_t>(i)]);
+    return p_.model.add_ge(std::move(users), 0.0, "used_ub_" + t_.node(i).name);
   }
 
   // --------------------------------------------------------- link quality
@@ -834,41 +899,60 @@ class Build {
     }
   }
 
+  /// Weighted TX / RX counts that routing through node i induces, from the
+  /// candidates from `first` on (approx) or from every x^pi (full).
+  bool node_traffic(int i, size_t first, LinExpr* tx, LinExpr* rx) const {
+    bool touched = false;
+    if (o_.mode == EncoderOptions::PathMode::kApprox) {
+      for (size_t ci = first; ci < p_.candidates.size(); ++ci) {
+        const auto& c = p_.candidates[ci];
+        const auto [tx_w, rx_w] = candidate_traffic(c.path, i);
+        if (tx_w > 0) *tx += tx_w * LinExpr(c.selector);
+        if (rx_w > 0) *rx += rx_w * LinExpr(c.selector);
+        touched = touched || tx_w > 0 || rx_w > 0;
+      }
+      return touched;
+    }
+    for (const auto& xmap : p_.full_path_edges) {
+      for (const auto& [key, x] : xmap) {
+        if (key.first == i) {
+          *tx += etx_for_edge(key.first, key.second) * LinExpr(x);
+          touched = true;
+        }
+        if (key.second == i) {
+          *rx += etx_for_edge(key.first, key.second) * LinExpr(x);
+          touched = true;
+        }
+      }
+    }
+    return touched;
+  }
+
+  /// Energy rows of node i for the candidates from `first` on: widens its
+  /// traffic rows, or creates its flow variables when it has none yet and
+  /// either carries traffic or energy enters the objective. Returns true
+  /// when it created them. Emits per node, so only one node's expressions
+  /// are alive at a time.
+  bool widen_energy(int i, size_t first) {
+    if (t_.node(i).role == Role::kSink) return false;  // mains powered
+    LinExpr tx_expr;
+    LinExpr rx_expr;
+    const bool touched = node_traffic(i, first, &tx_expr, &rx_expr);
+    const auto rows = traffic_rows_.find(i);
+    if (rows != traffic_rows_.end()) {
+      p_.model.add_terms_to_constr(rows->second.first, tx_expr);
+      p_.model.add_terms_to_constr(rows->second.second, rx_expr);
+      return false;
+    }
+    if (!touched && s_.objective.weight_energy == 0.0) return false;
+    emit_energy_node(i, std::move(tx_expr), std::move(rx_expr));
+    return true;
+  }
+
   void emit_energy() {
     if (!energy_enabled()) return;
     s_.radio.tdma.validate();
-
-    for (int i : node_in_scope_) {
-      const auto& nd = t_.node(i);
-      if (nd.role == Role::kSink) continue;  // mains powered
-      // Weighted TX / RX counts induced by routing through node i.
-      LinExpr tx_expr;
-      LinExpr rx_expr;
-      bool touched = false;
-      if (o_.mode == EncoderOptions::PathMode::kApprox) {
-        for (const auto& c : p_.candidates) {
-          const auto [tx_w, rx_w] = candidate_traffic(c.path, i);
-          if (tx_w > 0) tx_expr += tx_w * LinExpr(c.selector);
-          if (rx_w > 0) rx_expr += rx_w * LinExpr(c.selector);
-          touched = touched || tx_w > 0 || rx_w > 0;
-        }
-      } else {
-        for (const auto& xmap : p_.full_path_edges) {
-          for (const auto& [key, x] : xmap) {
-            if (key.first == i) {
-              tx_expr += etx_for_edge(key.first, key.second) * LinExpr(x);
-              touched = true;
-            }
-            if (key.second == i) {
-              rx_expr += etx_for_edge(key.first, key.second) * LinExpr(x);
-              touched = true;
-            }
-          }
-        }
-      }
-      if (!touched && s_.objective.weight_energy == 0.0) continue;
-      emit_energy_node(i, std::move(tx_expr), std::move(rx_expr));
-    }
+    for (int i : node_in_scope_) widen_energy(i, 0);
   }
 
   // -------------------------------------------------------- localization
@@ -933,7 +1017,8 @@ class Build {
                         "cover_p" + std::to_string(pj));
       }
     }
-    finalize_node_upper_links();
+    widen_rows(node_users_, used_ub_row_, &Build::new_used_ub_row);
+    node_users_.clear();
   }
 
   // ----------------------------------------------------------- objective
@@ -1013,13 +1098,13 @@ class Build {
   };
   int encoded_k_ = -1;                           ///< K* the model currently encodes
   std::vector<RouteState> route_states_;         ///< per route, resumable Yen state
-  std::map<std::pair<int, int>, int> group_row_;                 ///< (route, rep) -> eq row
-  std::set<std::pair<int, int>> group_unsat_;                    ///< groups with pinned-zero var
+  std::map<GroupKey, int> group_row_;                            ///< group -> eq row
+  std::set<GroupKey> group_unsat_;                               ///< groups with pinned-zero var
   std::map<EdgeKey, int> users_row_;                             ///< e <= sum users rows
-  std::map<std::tuple<int, int, int, int>, int> group_edge_row_; ///< (route,rep,i,j) -> LE row
-  std::map<std::tuple<int, int, int>, int> group_node_row_;      ///< (route,rep,node) -> LE row
-  std::map<std::pair<int, int>, std::pair<std::set<int>, int>> cover_data_;  ///< -> (union, h)
-  std::map<std::pair<int, int>, int> cover_row_;                 ///< (route, rep) -> GE row
+  std::map<GroupEdgeKey, int> group_edge_row_;                   ///< -> LE row
+  std::map<GroupNodeKey, int> group_node_row_;                   ///< -> LE row
+  std::map<GroupKey, std::pair<std::set<int>, int>> cover_data_; ///< -> (union, h)
+  std::map<GroupKey, int> cover_row_;                            ///< group -> GE row
   std::map<int, int> used_ub_row_;                               ///< node -> GE row
   std::map<EdgeKey, int> rss_row_;                               ///< edge -> RSS eq row
   std::map<int, std::pair<int, int>> traffic_rows_;              ///< node -> (tx eq, rx eq)
@@ -1114,9 +1199,10 @@ bool Build::extend_to_k(int new_k) {
     }
   }
 
-  // Phase B: append-only mutation. Every grown constraint relaxes for the
-  // all-off extension of a previous assignment, so a prior incumbent plus
-  // new_var_defaults_ stays feasible (the MIP-start bridge relies on this).
+  // Phase B: append-only mutation through the fresh build's emitters.
+  // Every grown constraint relaxes for the all-off extension of a previous
+  // assignment, so a prior incumbent plus new_var_defaults_ stays feasible
+  // (the MIP-start bridge relies on this).
   std::set<int> new_nodes;
   std::set<EdgeKey> new_edges;
   for (const auto& pc : fresh) {
@@ -1132,199 +1218,46 @@ bool Build::extend_to_k(int new_k) {
   scope_edges_.insert(new_edges.begin(), new_edges.end());
 
   for (int v : new_nodes) emit_sizing_node(v);
-
-  std::map<int, LinExpr> new_users;
-  for (const EdgeKey& key : new_edges) {
-    const Var e = edge_var(key.first, key.second);
-    for (const int endpoint : {key.first, key.second}) {
-      if (t_.node(endpoint).kind == NodeKind::kFixed) continue;
-      auto it = used_ub_row_.find(endpoint);
-      if (it != used_ub_row_.end()) {
-        p_.model.add_terms_to_constr(it->second, LinExpr(e));
-      } else {
-        new_users[endpoint] += LinExpr(e);
-      }
-    }
+  for (const EdgeKey& key : new_edges) edge_var(key.first, key.second);
+  {
+    std::map<int, LinExpr> users;
+    add_edge_users(new_edges, users);
+    widen_rows(users, used_ub_row_, &Build::new_used_ub_row);
   }
-  for (auto& [v, users] : new_users) {
-    users -= LinExpr(p_.node_used[static_cast<size_t>(v)]);
-    used_ub_row_[v] = p_.model.add_ge(std::move(users), 0.0, "used_ub_" + t_.node(v).name);
-  }
-
   for (const EdgeKey& key : new_edges) emit_lq_edge(key, p_.edge_active.at(key));
 
   const size_t first_new = p_.candidates.size();
-  for (auto& pc : fresh) {
-    const Var y = p_.model.add_binary("y_r" + std::to_string(pc.route_index) + "_rep" +
-                                      std::to_string(pc.replica) + "_" +
-                                      std::to_string(p_.candidates.size()));
-    p_.model.set_branch_priority(y, 3);
-    p_.candidates.push_back({std::move(pc.path), y, pc.route_index, pc.replica});
-  }
-
-  // Widen the group disjunctions and the edge/node linking rows.
-  std::map<std::pair<int, int>, LinExpr> group_delta;
-  std::map<EdgeKey, LinExpr> users_delta;
-  std::map<std::tuple<int, int, int, int>, LinExpr> ge_delta;
-  std::map<std::tuple<int, int, int>, LinExpr> gn_delta;
-  for (size_t ci = first_new; ci < p_.candidates.size(); ++ci) {
-    const auto& c = p_.candidates[ci];
-    group_delta[{c.route_index, c.replica}] += LinExpr(c.selector);
-    for (size_t k = 0; k + 1 < c.path.nodes.size(); ++k) {
-      const EdgeKey key{c.path.nodes[k], c.path.nodes[k + 1]};
-      users_delta[key] += LinExpr(c.selector);
-      ge_delta[{c.route_index, c.replica, key.first, key.second}] += LinExpr(c.selector);
-    }
-    for (int v : c.path.nodes) {
-      if (t_.node(v).kind == NodeKind::kFixed) continue;
-      gn_delta[{c.route_index, c.replica, v}] += LinExpr(c.selector);
-    }
-  }
-  for (const auto& [key, d] : group_delta) p_.model.add_terms_to_constr(group_row_.at(key), d);
-  for (auto& [key, d] : users_delta) {
-    auto it = users_row_.find(key);
-    if (it != users_row_.end()) {
-      p_.model.add_terms_to_constr(it->second, d);
-    } else {
-      d -= LinExpr(p_.edge_active.at(key));
-      users_row_[key] = p_.model.add_ge(std::move(d), 0.0);
-    }
-  }
-  // Lazy mode: the group linking maps are empty by construction (the fresh
-  // encode skipped the family), so the delta skips it identically and only
-  // counts the rows a non-lazy delta would have created.
-  if (o_.lazy_separation) {
-    for (const auto& [key, d] : ge_delta) {
-      if (!group_edge_row_.count(key)) ++p_.stats.lazy_rows_omitted;
-    }
-    for (const auto& [key, d] : gn_delta) {
-      if (!group_node_row_.count(key)) ++p_.stats.lazy_rows_omitted;
-    }
-  } else {
-    for (auto& [key, d] : ge_delta) {
-      auto it = group_edge_row_.find(key);
-      if (it != group_edge_row_.end()) {
-        p_.model.add_terms_to_constr(it->second, d);
-      } else {
-        d -= LinExpr(p_.edge_active.at({std::get<2>(key), std::get<3>(key)}));
-        group_edge_row_[key] = p_.model.add_le(std::move(d), 0.0);
-      }
-    }
-    for (auto& [key, d] : gn_delta) {
-      auto it = group_node_row_.find(key);
-      if (it != group_node_row_.end()) {
-        p_.model.add_terms_to_constr(it->second, d);
-      } else {
-        d -= LinExpr(p_.node_used[static_cast<size_t>(std::get<2>(key))]);
-        group_node_row_[key] = p_.model.add_le(std::move(d), 0.0);
-      }
-    }
-  }
-
-  // Cover cuts: grow the union, lower the minimum.
-  {
-    std::map<std::pair<int, int>, std::pair<std::set<int>, int>> delta_cover;
-    for (size_t ci = first_new; ci < p_.candidates.size(); ++ci) {
-      const auto& c = p_.candidates[ci];
-      auto [it, was_fresh] = delta_cover.try_emplace({c.route_index, c.replica},
-                                                     std::set<int>{}, INT32_MAX);
-      int relays = 0;
-      for (int v : c.path.nodes) {
-        if (t_.node(v).kind == NodeKind::kFixed) continue;
-        it->second.first.insert(v);
-        ++relays;
-      }
-      it->second.second = std::min(it->second.second, relays);
-    }
-    for (const auto& [key, uc] : delta_cover) {
-      auto& data = cover_data_.at(key);  // group had candidates (unsat checked)
-      auto row = cover_row_.find(key);
-      LinExpr grown;
-      bool any_new_node = false;
-      for (int v : uc.first) {
-        if (data.first.insert(v).second) {
-          grown += LinExpr(p_.node_used[static_cast<size_t>(v)]);
-          any_new_node = true;
-        }
-      }
-      const int h_new = std::min(data.second, uc.second);
-      if (row != cover_row_.end()) {
-        if (any_new_node) p_.model.add_terms_to_constr(row->second, grown);
-        if (h_new != data.second) {
-          p_.model.set_constr_rhs(row->second, static_cast<double>(h_new));
-        }
-      }
-      data.second = h_new;
-    }
-  }
-
-  // Cross-replica disjointness for every pair touching a new candidate
-  // (lazy mode: counted, not emitted — same gating as the fresh encode).
+  add_selectors(fresh);
+  Linking l = linking_of(first_new);
+  widen_rows(l.group, group_row_, &Build::new_group_row);
+  widen_rows(l.users, users_row_, &Build::new_users_row);
+  widen_rows(l.group_edge, group_edge_row_, &Build::new_group_edge_row, o_.lazy_separation);
+  widen_rows(l.group_node, group_node_row_, &Build::new_group_node_row, o_.lazy_separation);
+  widen_cover(first_new);
+  // Cross-replica disjointness for every pair touching a new candidate.
   for (size_t a = first_new; a < p_.candidates.size(); ++a) {
-    for (size_t b = 0; b < a; ++b) {
-      const auto& ca = p_.candidates[a];
-      const auto& cb = p_.candidates[b];
-      if (ca.route_index != cb.route_index || ca.replica == cb.replica) continue;
-      if (graph::shared_edges(ca.path, cb.path) > 0) {
-        if (o_.lazy_separation) {
-          ++p_.stats.lazy_rows_omitted;
-        } else {
-          p_.model.add_le(LinExpr(ca.selector) + LinExpr(cb.selector), 1.0);
-        }
-      }
-    }
+    for (size_t b = 0; b < a; ++b) emit_conflict(a, b);
   }
-
   // Satisfiable kAvoid hardenings gain their new compliant selectors.
   for (const auto& ar : avoid_rows_) {
-    if (ar.unsat) continue;
     const auto& hc = o_.hardening[ar.hardening_index];
-    LinExpr add;
-    bool any = false;
-    for (size_t ci = first_new; ci < p_.candidates.size(); ++ci) {
-      const auto& c = p_.candidates[ci];
-      if (c.route_index != hc.route_index || !path_avoids(c.path, hc)) continue;
-      add += LinExpr(c.selector);
-      any = true;
-    }
-    if (any) p_.model.add_terms_to_constr(ar.row, add);
+    if (!ar.unsat) p_.model.add_terms_to_constr(ar.row, compliant_selectors(hc, first_new));
   }
 
   // Energy: new candidates add routing mass; nodes gaining traffic for the
-  // first time get their flow variables (and q objective vars) now.
+  // first time get their flow variables (and q objective vars) now. Every
+  // new node lies on a new path, so this reaches all of them.
   if (energy_enabled()) {
-    std::map<int, LinExpr> tx_delta;
-    std::map<int, LinExpr> rx_delta;
-    std::set<int> touched;
+    std::set<int> on_new_paths;
     for (size_t ci = first_new; ci < p_.candidates.size(); ++ci) {
-      const auto& c = p_.candidates[ci];
-      for (int v : c.path.nodes) {
-        if (t_.node(v).role == Role::kSink) continue;
-        const auto [tx_w, rx_w] = candidate_traffic(c.path, v);
-        if (tx_w > 0) tx_delta[v] += tx_w * LinExpr(c.selector);
-        if (rx_w > 0) rx_delta[v] += rx_w * LinExpr(c.selector);
-        if (tx_w > 0 || rx_w > 0) touched.insert(v);
-      }
+      on_new_paths.insert(p_.candidates[ci].path.nodes.begin(),
+                          p_.candidates[ci].path.nodes.end());
     }
     std::vector<int> gained;
-    for (int v : touched) {
-      auto it = traffic_rows_.find(v);
-      if (it != traffic_rows_.end()) {
-        if (tx_delta.count(v)) p_.model.add_terms_to_constr(it->second.first, tx_delta[v]);
-        if (rx_delta.count(v)) p_.model.add_terms_to_constr(it->second.second, rx_delta[v]);
-      } else {
-        emit_energy_node(v, std::move(tx_delta[v]), std::move(rx_delta[v]));
-        gained.push_back(v);
-      }
+    for (int v : on_new_paths) {
+      if (widen_energy(v, first_new)) gained.push_back(v);
     }
     if (s_.objective.weight_energy != 0.0) {
-      // A fresh encode emits flow vars even for untouched battery nodes
-      // when energy enters the objective.
-      for (int v : new_nodes) {
-        if (t_.node(v).role == Role::kSink || traffic_rows_.count(v)) continue;
-        emit_energy_node(v, LinExpr(), LinExpr());
-        gained.push_back(v);
-      }
       for (int v : gained) emit_energy_objective_var(v);
     }
   }
@@ -1359,19 +1292,24 @@ void Build::append_avoid_hardenings(size_t first) {
 
 }  // namespace
 
-Encoder::Encoder(const NetworkTemplate& tmpl, const Specification& spec, EncoderOptions opts)
-    : tmpl_(&tmpl), spec_(&spec), opts_(opts) {
-  for (const auto& r : spec.routes) {
-    if (r.source < 0 || r.source >= tmpl.num_nodes() || r.dest < 0 ||
-        r.dest >= tmpl.num_nodes()) {
-      throw std::out_of_range("Encoder: route endpoint outside template");
-    }
+bool path_avoids(const Path& path, const HardeningConstraint& hc) {
+  for (int v : hc.nodes) {
+    if (graph::path_uses_node(path, v)) return false;
   }
+  for (const auto& [a, b] : hc.links) {
+    if (graph::path_uses_link(path, a, b)) return false;
+  }
+  return true;
+}
+
+Encoder::Encoder(const NetworkTemplate& tmpl, const Specification& spec, EncoderOptions opts)
+    : tmpl_(&tmpl), spec_(&spec), opts_(std::move(opts)) {
+  check_endpoints(tmpl, spec);
 }
 
 EncodedProblem Encoder::encode() const {
-  Build b(*tmpl_, *spec_, opts_);
-  return b.run();
+  IncrementalEncoder session(*tmpl_, *spec_, opts_);
+  return std::move(session.encode_k(opts_.k_star));
 }
 
 struct IncrementalEncoder::Impl {
@@ -1388,17 +1326,19 @@ struct IncrementalEncoder::Impl {
     dirty = false;
     last_was_delta = false;
   }
+
+  /// A standing model the next request may extend in place: complete,
+  /// approximate, and not invalidated.
+  [[nodiscard]] bool reusable() const {
+    return build && !dirty && build->complete() &&
+           opts.mode == EncoderOptions::PathMode::kApprox;
+  }
 };
 
 IncrementalEncoder::IncrementalEncoder(const NetworkTemplate& tmpl, const Specification& spec,
                                        EncoderOptions base)
     : impl_(std::make_unique<Impl>()) {
-  for (const auto& r : spec.routes) {
-    if (r.source < 0 || r.source >= tmpl.num_nodes() || r.dest < 0 ||
-        r.dest >= tmpl.num_nodes()) {
-      throw std::out_of_range("IncrementalEncoder: route endpoint outside template");
-    }
-  }
+  check_endpoints(tmpl, spec);
   impl_->tmpl = &tmpl;
   impl_->spec = &spec;
   impl_->opts = std::move(base);
@@ -1409,9 +1349,10 @@ IncrementalEncoder::~IncrementalEncoder() = default;
 EncodedProblem& IncrementalEncoder::encode_k(int k) {
   auto& im = *impl_;
   // Deltas are atomic: a stop observed here leaves the standing model
-  // intact (a half-appended delta would be unusable), marks its stats with
-  // the reason, and returns. The caller sees termination != kCompleted and
-  // reports instead of solving.
+  // intact (a half-appended delta would be unusable), marks this call's
+  // result with the reason, and returns. The caller sees termination !=
+  // kCompleted and reports instead of solving; the next call, under its
+  // own control, clears the mark.
   util::exec::TerminationReason why = util::exec::TerminationReason::kCompleted;
   if (im.build != nullptr && im.opts.exec.checkpoint(&why)) {
     im.build->problem().stats.termination = why;
@@ -1419,13 +1360,17 @@ EncodedProblem& IncrementalEncoder::encode_k(int k) {
     return im.build->problem();
   }
   im.opts.k_star = k;  // the live Build reads options through this object
-  if (!im.build || im.dirty || im.opts.mode != EncoderOptions::PathMode::kApprox) {
-    im.rebuild();
-  } else if (k != im.build->encoded_k()) {
-    if (im.build->extend_to_k(k)) {
-      im.last_was_delta = true;
-    } else {
-      im.rebuild();
+  if (!im.reusable()) {
+    im.rebuild();  // includes a model whose own build was stopped
+  } else {
+    // A complete model: clear any mark an earlier call's entry stop left.
+    im.build->problem().stats.termination = util::exec::TerminationReason::kCompleted;
+    if (k != im.build->encoded_k()) {
+      if (im.build->extend_to_k(k)) {
+        im.last_was_delta = true;
+      } else {
+        im.rebuild();
+      }
     }
   }
   return im.build->problem();
@@ -1440,8 +1385,7 @@ void IncrementalEncoder::append_hardenings(const std::vector<HardeningConstraint
   }
   im.opts.hardening.insert(im.opts.hardening.end(), fresh.begin(), fresh.end());
   im.last_was_delta = false;
-  if (im.build && !im.dirty && all_avoid &&
-      im.opts.mode == EncoderOptions::PathMode::kApprox) {
+  if (all_avoid && im.reusable()) {
     // Pure row appends over the existing candidate set.
     im.build->append_avoid_hardenings(first);
   } else {

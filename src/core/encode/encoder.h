@@ -7,6 +7,7 @@
 #include "core/encode/encoded_problem.h"
 #include "core/network_template.h"
 #include "core/requirements.h"
+#include "graph/digraph.h"
 #include "util/exec/exec.h"
 
 namespace wnet::archex {
@@ -32,6 +33,11 @@ struct HardeningConstraint {
   std::vector<std::pair<int, int>> links;  ///< failed links, undirected
   double margin_db = 0.0;                  ///< kMargin: extra headroom (dB)
 };
+
+/// True when `path` touches none of hc's nodes and links. The one kAvoid
+/// compliance test: the encoder's kAvoid rows and the repair loop's warm
+/// start must agree on it.
+[[nodiscard]] bool path_avoids(const graph::Path& path, const HardeningConstraint& hc);
 
 /// Encoder configuration. `kFull` is the paper's exact flow-based encoding
 /// (constraints (1a)-(1e) over all template edges); `kApprox` is Algorithm 1
@@ -92,7 +98,10 @@ struct EncoderOptions {
 };
 
 /// Compiles (template, specification) into a MILP. Stateless apart from
-/// the inputs; encode() may be called repeatedly.
+/// the inputs; encode() may be called repeatedly. Each encode() is a
+/// one-shot IncrementalEncoder session at opts.k_star, so the two share one
+/// build path and one endpoint check (std::out_of_range for a route whose
+/// source or dest is outside the template, thrown by both constructors).
 class Encoder {
  public:
   Encoder(const NetworkTemplate& tmpl, const Specification& spec, EncoderOptions opts = {});
@@ -118,7 +127,9 @@ class Encoder {
 /// YenEnumerator per (route, replica) and *appends* to the existing model:
 /// new candidate selector binaries, their linking rows, and the widened
 /// group disjunctions when K* grows (`encode_k`), or new hardening rows in
-/// the repair loop (`append_hardenings`).
+/// the repair loop (`append_hardenings`). The delta runs the fresh build's
+/// own emitter for every candidate row family, started at the first new
+/// candidate, so each family's rule is written once.
 ///
 /// Determinism contract: the delta-extended model is equivalent to a fresh
 /// encode at the same options — same variable/constraint/nonzero counts and
@@ -127,7 +138,8 @@ class Encoder {
 /// (kMargin hardenings retune the LQ prefilter, replica raises change the
 /// spec, the disjoint-disconnect step shifts a replica's base graph), the
 /// session transparently falls back to a full rebuild, so callers never
-/// need to reason about which case they are in.
+/// need to reason about which case they are in. A model whose build was
+/// stopped is never reused: the next encode_k rebuilds it.
 class IncrementalEncoder {
  public:
   /// The session keeps references to `tmpl` and `spec`: both must outlive
@@ -139,7 +151,9 @@ class IncrementalEncoder {
   IncrementalEncoder& operator=(const IncrementalEncoder&) = delete;
 
   /// Encodes (or delta-extends) to k_star = k and returns the session's
-  /// problem. Same k with no pending changes is a no-op.
+  /// problem. Same k with no pending changes is a no-op. A stop seen at
+  /// entry returns the standing model unchanged with the reason in its
+  /// stats.termination; that mark lasts until the next call.
   EncodedProblem& encode_k(int k);
 
   /// Appends hardening constraints to the session options and, when they

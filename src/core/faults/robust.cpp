@@ -27,7 +27,6 @@
 #include "core/explorer.h"
 #include "core/faults/campaign.h"
 #include "core/faults/fault_model.h"
-#include "graph/connectivity.h"
 #include "graph/digraph.h"
 #include "util/obs/trace.h"
 #include "util/stopwatch.h"
@@ -35,16 +34,6 @@
 namespace wnet::archex {
 
 namespace {
-
-bool path_avoids(const graph::Path& p, const HardeningConstraint& h) {
-  for (int v : h.nodes) {
-    if (graph::path_uses_node(p, v)) return false;
-  }
-  for (const auto& [a, b] : h.links) {
-    if (graph::path_uses_link(p, a, b)) return false;
-  }
-  return true;
-}
 
 /// Stable identity of a hardening, for the cross-iteration dedupe set.
 std::string hardening_key(const HardeningConstraint& h) {

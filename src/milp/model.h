@@ -92,7 +92,7 @@ class Model {
   /// Rewrites a constraint's right-hand side in place.
   void set_constr_rhs(int idx, double rhs);
 
-  /// Tightens a variable's bounds in place (used by presolve and tests).
+  /// Tightens a variable's bounds in place (encoders, restricted probe models, tests).
   void set_bounds(Var v, double lb, double ub);
 
   /// Sets the branching priority class of a variable.

@@ -118,41 +118,6 @@ int tighten_row(const RowSystem& rs, int row, std::vector<double>& lb, std::vect
 
 }  // namespace
 
-PresolveResult presolve(Model& m, int max_rounds, double tol) {
-  PresolveResult out;
-  const int n = m.num_vars();
-  const RowSystem rs(m);
-  std::vector<double> lb(static_cast<size_t>(n));
-  std::vector<double> ub(static_cast<size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    lb[static_cast<size_t>(j)] = m.vars()[static_cast<size_t>(j)].lb;
-    ub[static_cast<size_t>(j)] = m.vars()[static_cast<size_t>(j)].ub;
-  }
-
-  for (int round = 0; round < max_rounds; ++round) {
-    ++out.rounds;
-    int changed = 0;
-    for (int r = 0; r < rs.num_rows(); ++r) {
-      const int c = tighten_row(rs, r, lb, ub, tol, /*integers_only=*/false, nullptr);
-      if (c < 0) {
-        out.proven_infeasible = true;
-        return out;
-      }
-      changed += c;
-    }
-    out.bounds_tightened += changed;
-    if (changed == 0) break;
-  }
-
-  for (int j = 0; j < n; ++j) {
-    const VarData& vd = m.vars()[static_cast<size_t>(j)];
-    if (lb[static_cast<size_t>(j)] > vd.lb || ub[static_cast<size_t>(j)] < vd.ub) {
-      m.set_bounds(Var{j}, lb[static_cast<size_t>(j)], ub[static_cast<size_t>(j)]);
-    }
-  }
-  return out;
-}
-
 PropagateResult propagate_bounds(const RowSystem& rs, std::vector<double>& lb,
                                  std::vector<double>& ub, const std::vector<int>& seed_cols,
                                  const PropagateOptions& opts) {

@@ -6,21 +6,6 @@
 
 namespace wnet::milp {
 
-struct PresolveResult {
-  bool proven_infeasible = false;
-  int bounds_tightened = 0;
-  int rounds = 0;
-};
-
-/// Conservative presolve: iterated activity-based bound tightening.
-///
-/// Only variable bounds are modified (no rows or columns are removed), so
-/// solutions of the presolved model are solutions of the original and no
-/// mapping-back step is needed. Integer variable bounds are rounded inward.
-/// Tighter bounds both shrink the B&B tree and strengthen every big-M
-/// linearization built from bounds downstream.
-[[nodiscard]] PresolveResult presolve(Model& m, int max_rounds = 5, double tol = 1e-9);
-
 struct PropagateOptions {
   /// Work budget: each row may be re-processed at most this many times.
   int max_sweeps = 2;
@@ -54,11 +39,14 @@ struct RowSystem {
   [[nodiscard]] int num_rows() const { return static_cast<int>(rhs.size()); }
 };
 
-/// Node-level activity-based bound propagation over explicit bound arrays.
+/// Activity-based bound propagation over explicit bound arrays: the root
+/// bound propagation and every branch-and-bound node run it.
 ///
-/// Unlike presolve(), no model is touched: `lb`/`ub` (indexed by variable
-/// id, typically a branch-and-bound node's current local bounds) are
-/// tightened in place. Propagation is worklist-driven: only the rows
+/// No model is touched: `lb`/`ub` (indexed by variable id, the root's or a
+/// node's current local bounds) are tightened in place; integer bounds are
+/// rounded inward. Only bounds change (no rows or columns are removed), so
+/// any point inside the tightened box that the model accepts is a solution
+/// of the original model. Propagation is worklist-driven: only the rows
 /// incident to `seed_cols` are processed, plus rows woken transitively by
 /// new tightenings — an empty seed list means one full sweep first.
 /// Deterministic: rows are processed in FIFO order seeded in ascending

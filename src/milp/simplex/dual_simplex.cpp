@@ -217,26 +217,6 @@ LpResult DualSimplex::solve_from(const Basis& basis) {
   return run();
 }
 
-LpResult DualSimplex::resolve() {
-  if (!lu_valid_ || basis_.basic.empty()) return solve();
-  info_ = {/*warm=*/true, /*reused_lu=*/true, /*refactor_fallback=*/false};
-  reset_costs();
-  // Bounds changed under us: re-seat nonbasic columns on their (possibly
-  // moved) bounds and repair values/duals; the LU stays valid.
-  for (int j = 0; j < lp_->num_cols(); ++j) {
-    switch (basis_.status[static_cast<size_t>(j)]) {
-      case ColStatus::kAtLower: values_[static_cast<size_t>(j)] = lp_->lb()[static_cast<size_t>(j)]; break;
-      case ColStatus::kAtUpper: values_[static_cast<size_t>(j)] = lp_->ub()[static_cast<size_t>(j)]; break;
-      case ColStatus::kBasic: break;
-    }
-  }
-  recompute_basics();
-  compute_duals();
-  repair_nonbasic_statuses();
-  recompute_basics();
-  return run();
-}
-
 LpResult DualSimplex::run() {
   const int m = lp_->num_rows();
   const int n = lp_->num_cols();

@@ -109,15 +109,11 @@ class DualSimplex {
   /// from-scratch engine rebuild would.
   void set_iteration_limit(int max_iters) { opts_.max_iters = max_iters; }
 
-  /// Start-mode telemetry for the most recent solve()/solve_from()/resolve().
+  /// Start-mode telemetry for the most recent solve()/solve_from().
   [[nodiscard]] const SolveInfo& last_solve_info() const { return info_; }
 
   /// Factorization counters accumulated over this engine's lifetime.
   [[nodiscard]] LuStats lu_stats() const;
-
-  /// Solves again after external bound changes, reusing the current basis
-  /// AND its factorization (cheapest path for branch-and-bound plunging).
-  LpResult resolve();
 
  private:
   void start_from_slack_basis();

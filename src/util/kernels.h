@@ -1,9 +1,9 @@
 #pragma once
 
 /// The hot inner loops of the pipeline as plain functions: simplex gather
-/// dot-products and scatter updates (SparseMatrix / BasisLu), the presolve
-/// row-activity accumulation, wall-crossing segment classification and
-/// batched path-loss distance evaluation.
+/// dot-products and scatter updates (SparseMatrix / BasisLu), the bound
+/// propagation row-activity accumulation, wall-crossing segment
+/// classification and batched path-loss distance evaluation.
 ///
 /// They live in one translation unit (kernels.cpp), compiled with
 /// `-ffp-contract=off -fno-math-errno -fno-trapping-math
@@ -42,7 +42,7 @@ void scatter_axpy(const int32_t* rows, const double* values, int n, double scale
 /// element regardless of zeros.
 void dense_axpy(double* y, const double* x, double a, int n);
 
-/// Row-activity range for presolve: accumulates
+/// Row-activity range for bound propagation: accumulates
 ///   lo_lane += min(a*lb, a*ub),  hi_lane += max(a*lb, a*ub)
 /// over the row's columns with the 4-lane order, where lb/ub are gathered
 /// via cols[i]. min/max use the MINPD selection rule.

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "channel/propagation.h"
 #include "core/explorer.h"
 #include "core/solution.h"
+#include "core/workloads/scenarios.h"
 #include "milp/solver.h"
 
 namespace wnet::archex {
@@ -195,6 +200,96 @@ TEST_F(TinyScenario, DecodeReportsActiveLinksWithSaneRss) {
   for (const auto& l : res.architecture.links) {
     EXPECT_GE(l.rss_dbm, -80.0 - 1e-6);  // floor = SNR 20 + noise -100
     EXPECT_LE(l.rss_dbm, 10.0);
+  }
+}
+
+TEST_F(TinyScenario, RouteEndpointOutsideTemplateThrows) {
+  const int n = tmpl_.num_nodes();
+  const int sink = *tmpl_.find_node("sink");
+  const std::vector<std::pair<int, int>> outside{{-1, sink}, {n, sink}, {0, -1}, {0, n}};
+  for (const auto& [src, dst] : outside) {
+    SCOPED_TRACE("route " + std::to_string(src) + " -> " + std::to_string(dst));
+    Specification bad = spec_;
+    bad.routes[1].source = src;
+    bad.routes[1].dest = dst;
+    EXPECT_THROW(Encoder(tmpl_, bad), std::out_of_range);
+    EXPECT_THROW(IncrementalEncoder(tmpl_, bad, {}), std::out_of_range);
+    const Explorer ex(tmpl_, bad);
+    EXPECT_THROW((void)ex.explore(), std::out_of_range);
+  }
+}
+
+/// A control whose deadline has already passed: the first checkpoint it
+/// sees stops the work.
+util::exec::ExecControl expired_control() {
+  util::exec::ExecControl c;
+  c.deadline = util::exec::Deadline::after(0.0);
+  return c;
+}
+
+void expect_same_size(const EncodedProblem& got, const EncodedProblem& want) {
+  EXPECT_EQ(got.stats.termination, util::exec::TerminationReason::kCompleted);
+  EXPECT_EQ(got.stats.num_vars, want.stats.num_vars);
+  EXPECT_EQ(got.stats.num_constrs, want.stats.num_constrs);
+  EXPECT_EQ(got.stats.nonzeros, want.stats.nonzeros);
+  EXPECT_EQ(got.stats.candidate_paths, want.stats.candidate_paths);
+}
+
+// A cached session outlives the request that stopped it: a stop at
+// encode_k's entry checkpoint marks that one call's result, and the next
+// request, under its own live control, is served from the standing model.
+TEST(IncrementalEncoderStop, EntryStopMarksOnlyThatCall) {
+  workloads::ScalableConfig cfg;
+  cfg.total_nodes = 30;
+  cfg.end_devices = 10;
+  const auto sc = workloads::make_scalable(cfg);
+  const Explorer ex(*sc->tmpl, sc->spec);
+  IncrementalEncoder session(*sc->tmpl, sc->spec, EncoderOptions{});
+  Explorer::RungCarry carry;
+  milp::SolveOptions so;
+  so.time_limit_s = 120.0;
+  ASSERT_EQ(ex.explore_rung(session, 1, carry, so).termination,
+            util::exec::TerminationReason::kCompleted);
+
+  milp::SolveOptions stopped = so;
+  stopped.exec = expired_control();
+  session.set_exec(stopped.exec);
+  const ExplorationResult cut = ex.explore_rung(session, 3, carry, stopped);
+  EXPECT_EQ(cut.termination, util::exec::TerminationReason::kDeadline);
+  EXPECT_FALSE(cut.has_solution());
+
+  session.set_exec(so.exec);
+  for (const int k : {3, 5}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const ExplorationResult r = ex.explore_rung(session, k, carry, so);
+    EXPECT_EQ(r.termination, util::exec::TerminationReason::kCompleted);
+    EXPECT_TRUE(r.has_solution()) << milp::to_string(r.status);
+    EncoderOptions fresh;
+    fresh.k_star = k;
+    expect_same_size(session.problem(), Encoder(*sc->tmpl, sc->spec, fresh).encode());
+  }
+}
+
+// A stop inside the first build leaves a partial model (the remaining
+// phases were skipped). The next encode_k must rebuild it, never hand the
+// partial model back or delta-extend it.
+TEST(IncrementalEncoderStop, StoppedBuildIsRebuilt) {
+  workloads::ScalableConfig cfg;
+  cfg.total_nodes = 30;
+  cfg.end_devices = 10;
+  const auto sc = workloads::make_scalable(cfg);
+  EncoderOptions base;
+  base.exec = expired_control();
+  IncrementalEncoder session(*sc->tmpl, sc->spec, base);
+  ASSERT_EQ(session.encode_k(3).stats.termination, util::exec::TerminationReason::kDeadline);
+
+  session.set_exec({});
+  for (const int k : {3, 5}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const EncodedProblem& ep = session.encode_k(k);
+    EncoderOptions fresh;
+    fresh.k_star = k;
+    expect_same_size(ep, Encoder(*sc->tmpl, sc->spec, fresh).encode());
   }
 }
 

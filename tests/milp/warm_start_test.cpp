@@ -52,13 +52,15 @@ TEST(DualSimplexResolve, TracksBoundChanges) {
   ASSERT_EQ(r1.status, simplex::LpStatus::kOptimal);
   EXPECT_NEAR(r1.objective, -6.0, 1e-8);
 
+  // Re-solve after a bound change from the engine's own basis, the way
+  // branch-and-bound warm-starts a child node.
   lp.set_bounds(0, 0.0, 1.0);
-  auto r2 = ds.resolve();
+  auto r2 = ds.solve_from(ds.basis());
   ASSERT_EQ(r2.status, simplex::LpStatus::kOptimal);
   EXPECT_NEAR(r2.objective, -5.0, 1e-8);
 
   lp.set_bounds(0, 0.0, 3.0);
-  auto r3 = ds.resolve();
+  auto r3 = ds.solve_from(ds.basis());
   ASSERT_EQ(r3.status, simplex::LpStatus::kOptimal);
   EXPECT_NEAR(r3.objective, -6.0, 1e-8);
 }
@@ -72,7 +74,7 @@ TEST(DualSimplexResolve, DetectsInfeasibilityAfterTightening) {
   simplex::DualSimplex ds(lp);
   ASSERT_EQ(ds.solve().status, simplex::LpStatus::kOptimal);
   lp.set_bounds(0, 0.0, 4.0);
-  EXPECT_EQ(ds.resolve().status, simplex::LpStatus::kPrimalInfeasible);
+  EXPECT_EQ(ds.solve_from(ds.basis()).status, simplex::LpStatus::kPrimalInfeasible);
 }
 
 TEST(DualSimplexRowAppend, StaleBasisExtendsAcrossAppendedRow) {
