@@ -13,9 +13,11 @@
 //                      plus geometric-mean reduction factors. Exits
 //                      non-zero if any instance's optima disagree.
 //   --smoke            Runs the quick subset with the current configuration
-//                      and compares nodes / LP iterations / objective
-//                      against a checked-in baseline JSON; exits non-zero
-//                      on a > 25% regression (CI tier-1 runs this).
+//                      and compares nodes / LP iterations / objective /
+//                      numerical failures against a checked-in baseline
+//                      JSON; exits non-zero on a > 25% count regression or
+//                      on any numerical failure beyond the baseline's (CI
+//                      tier-1 runs this).
 //   --write-baseline   Regenerates the baseline file at --baseline.
 //   --time-budget S    Anytime/budget mode: runs the smoke subset under one
 //                      shared wall-clock deadline of S seconds (plus the
@@ -187,6 +189,7 @@ struct BaselineEntry {
   double objective = 0.0;
   long nodes = 0;
   long lp_iterations = 0;
+  long numerical_failures = 0;
 };
 
 std::vector<BaselineEntry> load_baseline(const std::string& path) {
@@ -197,8 +200,10 @@ std::vector<BaselineEntry> load_baseline(const std::string& path) {
   while (std::getline(in, line)) {
     char name[128] = {0};
     BaselineEntry e;
-    if (std::sscanf(line.c_str(), "  {\"name\": \"%127[^\"]\", \"objective\": %lf, \"nodes\": %ld, \"lp_iterations\": %ld",
-                    name, &e.objective, &e.nodes, &e.lp_iterations) == 4) {
+    if (std::sscanf(line.c_str(),
+                    "  {\"name\": \"%127[^\"]\", \"objective\": %lf, \"nodes\": %ld, "
+                    "\"lp_iterations\": %ld, \"numerical_failures\": %ld",
+                    name, &e.objective, &e.nodes, &e.lp_iterations, &e.numerical_failures) == 5) {
       e.name = name;
       out.push_back(e);
     }
@@ -218,6 +223,7 @@ void write_baseline(const std::string& path, const std::vector<BaselineEntry>& e
     w.field("objective", entries[i].objective);
     w.field("nodes", entries[i].nodes);
     w.field("lp_iterations", entries[i].lp_iterations);
+    w.field("numerical_failures", entries[i].numerical_failures);
     w.end_object();
     outf << "  " << w.take() << (i + 1 < entries.size() ? "," : "") << "\n";
   }
@@ -334,7 +340,8 @@ int main(int argc, char** argv) {
       ok = false;
       continue;
     }
-    measured.push_back({inst.name, cur.objective, cur.stats.nodes, cur.stats.lp_iterations});
+    measured.push_back({inst.name, cur.objective, cur.stats.nodes, cur.stats.lp_iterations,
+                        cur.stats.numerical_failures});
     if (args.getb("json")) {
       util::obs::JsonWriter w;
       w.begin_object();
@@ -437,8 +444,15 @@ int main(int argc, char** argv) {
                      m.name.c_str(), m.lp_iterations, iter_cap, base->lp_iterations);
         ok = false;
       }
-      std::printf("ok %-16s obj %.6g nodes %ld/%ld iters %ld/%ld\n", m.name.c_str(), m.objective,
-                  m.nodes, base->nodes, m.lp_iterations, base->lp_iterations);
+      // Numerical failures get no head-room: a new one is a regression.
+      if (m.numerical_failures > base->numerical_failures) {
+        std::fprintf(stderr, "FAIL %s: numerical_failures %ld > baseline %ld\n", m.name.c_str(),
+                     m.numerical_failures, base->numerical_failures);
+        ok = false;
+      }
+      std::printf("ok %-16s obj %.6g nodes %ld/%ld iters %ld/%ld numerical %ld/%ld\n",
+                  m.name.c_str(), m.objective, m.nodes, base->nodes, m.lp_iterations,
+                  base->lp_iterations, m.numerical_failures, base->numerical_failures);
     }
     std::printf(ok ? "smoke: PASS\n" : "smoke: FAIL\n");
     return ok ? 0 : 1;

@@ -234,16 +234,19 @@ LpResult DualSimplex::run() {
   bool bland = false;
   banned_.clear();
   banned_rows_.clear();
+  devex_.assign(static_cast<size_t>(m), 1.0);  // fresh reference framework
 
   for (int iter = 0; iter < opts_.max_iters; ++iter) {
     if ((iter & 63) == 63) {
       if (clock.seconds() > opts_.time_limit_s) return finish(LpStatus::kTimeLimit, iter);
       if (opts_.cancel.cancelled()) return finish(LpStatus::kCancelled, iter);
     }
-    // --- Leaving variable: most violated basic (or lowest index in Bland
-    // mode to break degenerate cycles).
+    // --- Leaving variable: dual Devex pricing, the largest violation² over
+    // the row's reference weight, lowest position on ties (or lowest column
+    // index in Bland mode to break degenerate cycles).
     int r = -1;
     double best_viol = 0.0;
+    double best_score = 0.0;
     double inf_sum = 0.0;
     for (int pos = 0; pos < m; ++pos) {
       const int col = basis_.basic[static_cast<size_t>(pos)];
@@ -259,9 +262,11 @@ LpResult DualSimplex::run() {
           r = pos;
           best_viol = v;
         }
-      } else if (std::abs(v) > std::abs(best_viol)) {
+      } else if (const double score = v * v / devex_[static_cast<size_t>(pos)];
+                 r == -1 || score > best_score) {
         r = pos;
         best_viol = v;
+        best_score = score;
       }
     }
     if (r == -1) {
@@ -402,6 +407,19 @@ LpResult DualSimplex::run() {
       compute_duals();
       continue;
     }
+
+    // --- Devex update from the entering column already at hand: row i's
+    // reference weight grows to at least (w_i / alpha_rq)² times row r's,
+    // and position r (now holding q) takes row r's weight over alpha_rq².
+    const double devex_r = devex_[static_cast<size_t>(r)];
+    for (int i = 0; i < m; ++i) {
+      const double wi = w[static_cast<size_t>(i)];
+      if (wi == 0.0 || i == r) continue;
+      const double ratio = wi / alpha_rq;
+      double& di = devex_[static_cast<size_t>(i)];
+      di = std::max(di, ratio * ratio * devex_r);
+    }
+    devex_[static_cast<size_t>(r)] = std::max(devex_r / (alpha_rq * alpha_rq), 1.0);
 
     // --- Pivot: leaving goes to its violated bound, entering becomes basic.
     const double delta = best_viol;           // signed distance past the bound

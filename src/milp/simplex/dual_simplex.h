@@ -85,7 +85,8 @@ struct LuStats {
 /// always dual feasible, so one dual simplex run serves as both phase 1 and
 /// phase 2. It is also the natural engine for branch-and-bound: after a
 /// bound change the old basis stays dual feasible and only primal
-/// feasibility needs repair.
+/// feasibility needs repair. The leaving row is chosen by dual Devex pricing
+/// (Forrest & Goldfarb 1992): the largest violation² / reference weight.
 class DualSimplex {
  public:
   explicit DualSimplex(const StandardLp& lp, LpOptions opts = {});
@@ -161,6 +162,11 @@ class DualSimplex {
   std::vector<double> alphas_;  ///< pivot row alpha_j per column
   std::vector<int> banned_;      ///< columns excluded from the current ratio test
   std::vector<int> banned_rows_;  ///< rows skipped by leaving selection (knife-edge pivots)
+  /// Dual Devex reference weight per basis position: an estimate of
+  /// ||e_pos^T B^{-1}||², reset to 1 at the start of every run().
+  std::vector<double> devex_;
+
+  friend struct DualSimplexTestAccess;
 };
 
 }  // namespace wnet::milp::simplex

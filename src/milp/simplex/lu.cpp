@@ -304,20 +304,24 @@ void BasisLu::btran(std::vector<double>& y) const {
     w[static_cast<size_t>(k)] = y[static_cast<size_t>(q_[static_cast<size_t>(k)])];
   }
 
-  // Solve U^T w' = c_q forward over steps (U stored by column).
+  // Solve U^T w' = c_q forward over steps (U stored by column). Most
+  // columns are empty; they skip the kernel call, whose empty dot is +0 and
+  // would leave w[k] bit for bit unchanged (signed zeros included).
   for (int k = 0; k < m_; ++k) {
     const int64_t s = u_start_[static_cast<size_t>(k)];
     const int len = static_cast<int>(u_start_[static_cast<size_t>(k) + 1] - s);
-    const double dot = gather_dot(u_rows_.data() + s, u_vals_.data() + s, len, w.data());
-    w[static_cast<size_t>(k)] =
-        (w[static_cast<size_t>(k)] - dot) / u_diag_[static_cast<size_t>(k)];
+    double wk = w[static_cast<size_t>(k)];
+    if (len != 0) wk -= gather_dot(u_rows_.data() + s, u_vals_.data() + s, len, w.data());
+    w[static_cast<size_t>(k)] = wk / u_diag_[static_cast<size_t>(k)];
   }
 
   // Solve L^T t = w backward; L column entries live in original-row space,
-  // l_steps_ carries their precomputed step indices for the gather.
+  // l_steps_ carries their precomputed step indices for the gather. Empty
+  // columns are skipped for the same reason.
   for (int k = m_ - 1; k >= 0; --k) {
     const int64_t s = l_start_[static_cast<size_t>(k)];
     const int len = static_cast<int>(l_start_[static_cast<size_t>(k) + 1] - s);
+    if (len == 0) continue;
     const double dot = gather_dot(l_steps_.data() + s, l_vals_.data() + s, len, w.data());
     w[static_cast<size_t>(k)] = w[static_cast<size_t>(k)] - dot;
   }

@@ -8,6 +8,7 @@
 
 #include "channel/propagation.h"
 #include "core/solution.h"
+#include "core/workloads/scenarios.h"
 
 namespace wnet::archex {
 namespace {
@@ -191,6 +192,31 @@ TEST_F(ExplorerScenario, DsodObjectiveSelectsServingAnchors) {
   ASSERT_TRUE(res.has_solution()) << milp::to_string(res.status);
   EXPECT_GT(res.architecture.dsod, 0.0);
   const auto rep = verify_architecture(res.architecture, anchors, loc_spec);
+  EXPECT_TRUE(rep.ok) << (rep.violations.empty() ? "" : rep.violations[0]);
+}
+
+TEST(ExplorerRegression, Table3Seed15Layout45x15FindsASolution) {
+  // The 45x15 scalable layout of the table3_solve benchmark's seed 15,
+  // request 17, built as that benchmark builds it (K* = 5, one thread, a
+  // 30-node cap). Under largest-violation row selection its root LP ended in
+  // numerical trouble on every escalated retry, so the request returned
+  // no solution; Devex pricing reaches the root optimum and an incumbent.
+  workloads::ScalableConfig cfg;
+  cfg.total_nodes = 45;
+  cfg.end_devices = 15;
+  cfg.seed = 9218119777471263353ULL;
+  const auto sc = workloads::make_scalable(cfg);
+  EncoderOptions eo;
+  eo.k_star = 5;
+  eo.threads = 1;
+  milp::SolveOptions so;
+  so.time_limit_s = 3600.0;
+  so.node_limit = 30;
+  const auto res = Explorer(*sc->tmpl, sc->spec).explore(eo, so);
+  ASSERT_TRUE(res.has_solution()) << milp::to_string(res.status) << " / "
+                                  << util::exec::to_string(res.termination);
+  EXPECT_EQ(res.solve_stats.numerical_failures, 0);
+  const auto rep = verify_architecture(res.architecture, *sc->tmpl, sc->spec);
   EXPECT_TRUE(rep.ok) << (rep.violations.empty() ? "" : rep.violations[0]);
 }
 

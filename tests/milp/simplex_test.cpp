@@ -2,14 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <random>
 #include <string>
 
+#include "core/encode/encoder.h"
+#include "core/workloads/scenarios.h"
 #include "milp/model.h"
 #include "milp/simplex/standard_lp.h"
 
 namespace wnet::milp::simplex {
+
+/// Reads the engine's Devex reference weights, left as the last run() ended.
+struct DualSimplexTestAccess {
+  static const std::vector<double>& devex(const DualSimplex& ds) { return ds.devex_; }
+};
+
 namespace {
 
 LpResult solve_lp(const Model& m) {
@@ -297,6 +307,96 @@ TEST(DualSimplex, LuStatsAttributeEveryFactorization) {
   EXPECT_EQ(s.node_switch, 1);
   EXPECT_GE(s.interval, 1);
   EXPECT_GE(s.factor_s, 0.0);
+}
+
+void expect_devex_weights_sane(const DualSimplex& ds, int num_rows) {
+  const std::vector<double>& w = DualSimplexTestAccess::devex(ds);
+  ASSERT_EQ(static_cast<int>(w.size()), num_rows);
+  for (size_t i = 0; i < w.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(w[i])) << "row " << i;
+    EXPECT_GE(w[i], 1.0) << "row " << i;
+  }
+}
+
+TEST(DualSimplexDevex, WeightsStayFiniteAndAtLeastOne) {
+  // Cold solves and warm re-solves after random bound changes: every
+  // reference weight starts at 1 and only grows by finite factors.
+  int pivoted = 0;
+  for (unsigned seed = 0; seed < 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    StandardLp lp(random_lp(seed));
+    DualSimplex ds(lp);
+    const LpResult cold = ds.solve();
+    pivoted += cold.iterations > 0 ? 1 : 0;
+    expect_devex_weights_sane(ds, lp.num_rows());
+    std::mt19937 rng(seed + 1000);
+    std::uniform_int_distribution<int> col(0, lp.num_structural() - 1);
+    std::uniform_real_distribution<double> bound(0.0, 4.0);
+    for (int round = 0; round < 10; ++round) {
+      const double a = bound(rng);
+      const double b = bound(rng);
+      lp.set_bounds(col(rng), std::min(a, b), std::max(a, b));
+      const Basis start = ds.basis();
+      const LpResult warm = ds.solve_from(start);
+      pivoted += warm.iterations > 0 ? 1 : 0;
+      expect_devex_weights_sane(ds, lp.num_rows());
+    }
+  }
+  EXPECT_GE(pivoted, 100) << "the sweep must exercise the weight update";
+}
+
+/// The Sec. 4.3 scalability instance at 30 nodes / 10 end devices, encoded
+/// at K* = 6 as the solver profile encodes it.
+Model table3_model() {
+  archex::workloads::ScalableConfig cfg;
+  cfg.total_nodes = 30;
+  cfg.end_devices = 10;
+  const auto sc = archex::workloads::make_scalable(cfg);
+  archex::EncoderOptions eo;
+  eo.k_star = 6;
+  return archex::Encoder(*sc->tmpl, sc->spec, eo).encode().model;
+}
+
+TEST(DualSimplexDevex, Table3NodeSwitchesMatchColdAndIterationsStayLow) {
+  // The root LP, then 30 branch-and-bound-like nodes: each restores the
+  // model's bounds, fixes four seeded integer columns to 0 or 1 and
+  // re-solves warm from the root basis on one engine. Every warm answer
+  // must equal a cold solve's. The iteration total pins the row selection
+  // rule: Devex takes 1792 pivots here, largest-violation selection 2648.
+  const Model model = table3_model();
+  StandardLp lp(model);
+  DualSimplex ds(lp);
+  const LpResult root = ds.solve();
+  ASSERT_EQ(root.status, LpStatus::kOptimal);
+  const Basis root_basis = ds.basis();
+  std::vector<int> ints;
+  for (int j = 0; j < model.num_vars(); ++j) {
+    if (model.vars()[static_cast<size_t>(j)].type != VarType::kContinuous) ints.push_back(j);
+  }
+  std::mt19937 rng(7);
+  long iterations = root.iterations;
+  int optimal = 0;
+  for (int node = 0; node < 30; ++node) {
+    SCOPED_TRACE("node " + std::to_string(node));
+    for (const int j : ints) {
+      const VarData& v = model.vars()[static_cast<size_t>(j)];
+      lp.set_bounds(j, v.lb, v.ub);
+    }
+    for (int k = 0; k < 4; ++k) {
+      const int j = ints[rng() % ints.size()];
+      const double fixed = (rng() & 1) != 0u ? 1.0 : 0.0;
+      lp.set_bounds(j, fixed, fixed);
+    }
+    const LpResult warm = ds.solve_from(root_basis);
+    const LpResult cold = DualSimplex(lp).solve();
+    ASSERT_EQ(warm.status, cold.status);
+    iterations += warm.iterations;
+    if (warm.status != LpStatus::kOptimal) continue;
+    ++optimal;
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-6 * (1.0 + std::abs(cold.objective)));
+  }
+  EXPECT_GE(optimal, 20);
+  EXPECT_LE(iterations, 2100);
 }
 
 }  // namespace
