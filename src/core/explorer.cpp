@@ -1,8 +1,9 @@
 #include "core/explorer.h"
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
 #include <map>
-#include <set>
 
 #include "core/encode/separation.h"
 #include "graph/digraph.h"
@@ -43,55 +44,125 @@ std::string ExplorationResult::solver_json() const {
   return w.take();
 }
 
-namespace {
+FixedRouting pick_fixed_routing(const EncodedProblem& ep, const NetworkArchitecture& prev,
+                                const std::vector<HardeningConstraint>& hardening) {
+  FixedRouting out;
+  if (ep.candidates.empty()) return out;
 
-/// Fixed-routing warm start (the paper's K* = 1 regime as a primal
-/// heuristic): greedily select the lowest-path-loss candidate per replica
-/// group, respecting edge-disjointness within a route, fix those selectors,
-/// and solve the remaining sizing-only MILP briefly. Its solution seeds the
-/// main search as an incumbent. Returns empty on any failure.
-std::vector<double> fixed_routing_start(const EncodedProblem& ep,
-                                        const milp::SolveOptions& sopts) {
-  if (ep.candidates.empty()) return {};
+  std::map<std::pair<int, int>, std::vector<const CandidatePath*>> groups;
+  for (const auto& c : ep.candidates) groups[{c.route_index, c.replica}].push_back(&c);
 
-  std::map<std::pair<int, int>, const CandidatePath*> picked;
-  std::set<std::pair<int, int>> groups;
-  for (const auto& c : ep.candidates) groups.insert({c.route_index, c.replica});
-
-  for (const auto& g : groups) {
-    const CandidatePath* best = nullptr;
-    for (const auto& c : ep.candidates) {
-      if (c.route_index != g.first || c.replica != g.second) continue;
-      bool clash = false;
-      for (const auto& [og, oc] : picked) {
-        if (og.first == g.first && og.second != g.second &&
-            graph::shared_edges(c.path, oc->path) > 0) {
-          clash = true;
-          break;
-        }
+  RoutePicks& picked = out.picks;
+  // Edge-disjoint from every other replica of group g's route already
+  // picked (g's own pick, if any, is not compared).
+  const auto disjoint_with_route = [&](const std::pair<int, int>& g, const CandidatePath* c) {
+    for (auto it = picked.lower_bound({g.first, INT_MIN});
+         it != picked.end() && it->first.first == g.first; ++it) {
+      if (it->first.second != g.second && graph::shared_edges(c->path, it->second->path) > 0) {
+        return false;
       }
-      if (clash) continue;
-      if (best == nullptr || c.path.cost < best->path.cost) best = &c;
     }
-    if (best == nullptr) return {};  // no disjoint pick: skip the heuristic
-    picked[g] = best;
+    return true;
+  };
+  const auto avoids_all = [&](int route, const graph::Path& path) {
+    for (const auto& h : hardening) {
+      if (h.kind == HardeningConstraint::Kind::kAvoid && h.route_index == route &&
+          !path_avoids(path, h)) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  // Pass 1: keep every previous route that still exists verbatim among the
+  // candidates (hardening may have regenerated or filtered the sets).
+  for (const auto& r : prev.routes) {
+    const auto it = groups.find({r.route_index, r.replica});
+    if (it == groups.end()) continue;
+    for (const CandidatePath* c : it->second) {
+      if (c->path.nodes == r.path.nodes) {
+        picked[it->first] = c;
+        break;
+      }
+    }
   }
 
-  return solve_with_fixed_selectors(ep, picked, sopts);
+  // Pass 2: fill the remaining groups greedily by cost, preferring
+  // candidates that satisfy every avoidance hardening on their route.
+  out.complete = true;
+  for (const auto& [g, cands] : groups) {
+    if (picked.count(g) != 0) continue;
+    const CandidatePath* best = nullptr;
+    bool best_avoids = false;
+    for (const CandidatePath* c : cands) {
+      if (!disjoint_with_route(g, c)) continue;
+      const bool avoids = avoids_all(g.first, c->path);
+      if (best == nullptr || (avoids && !best_avoids) ||
+          (avoids == best_avoids && c->path.cost < best->path.cost)) {
+        best = c;
+        best_avoids = avoids;
+      }
+    }
+    if (best == nullptr) {
+      best = cands.front();
+      out.complete = false;
+    }
+    picked[g] = best;
+  }
+  if (!out.complete) return out;
+
+  // Pass 3: every avoidance hardening needs >= 1 compliant replica on its
+  // route. Swap the first replica that can to its cheapest compliant
+  // disjoint candidate.
+  for (const auto& h : hardening) {
+    if (h.kind != HardeningConstraint::Kind::kAvoid) continue;
+    const bool satisfied = std::any_of(picked.begin(), picked.end(), [&](const auto& gc) {
+      return gc.first.first == h.route_index && path_avoids(gc.second->path, h);
+    });
+    if (satisfied) continue;
+    bool repaired = false;
+    for (auto& [g, c] : picked) {
+      if (g.first != h.route_index) continue;
+      const CandidatePath* swap = nullptr;
+      for (const CandidatePath* cand : groups.at(g)) {
+        if (!path_avoids(cand->path, h) || !disjoint_with_route(g, cand)) continue;
+        if (swap == nullptr || cand->path.cost < swap->path.cost) swap = cand;
+      }
+      if (swap != nullptr) {
+        c = swap;
+        repaired = true;
+        break;
+      }
+    }
+    if (!repaired) {
+      out.complete = false;
+      return out;
+    }
+  }
+  return out;
 }
 
-}  // namespace
-
-std::vector<double> solve_with_fixed_selectors(
-    const EncodedProblem& ep,
-    const std::map<std::pair<int, int>, const CandidatePath*>& picked,
-    const milp::SolveOptions& sopts) {
+milp::Model restrict_to_picks(const EncodedProblem& ep, const RoutePicks& picked) {
   milp::Model restricted = ep.model;
   for (const auto& c : ep.candidates) {
     const auto it = picked.find({c.route_index, c.replica});
     const bool on = it != picked.end() && it->second == &c;
     restricted.set_bounds(c.selector, on ? 1.0 : 0.0, on ? 1.0 : 0.0);
   }
+  return restricted;
+}
+
+std::vector<double> fixed_routing_start(const EncodedProblem& ep, const milp::SolveOptions& sopts,
+                                        const NetworkArchitecture& prev,
+                                        const std::vector<HardeningConstraint>& hardening) {
+  const FixedRouting routing = pick_fixed_routing(ep, prev, hardening);
+  if (!routing.complete) return {};
+  return solve_with_fixed_selectors(ep, routing.picks, sopts);
+}
+
+std::vector<double> solve_with_fixed_selectors(const EncodedProblem& ep,
+                                               const RoutePicks& picked,
+                                               const milp::SolveOptions& sopts) {
   milp::SolveOptions wopts = sopts;
   // The probe gets a slice of the solve budget, but never more than the
   // caller's own limit or what is actually left on the request deadline —
@@ -111,7 +182,7 @@ std::vector<double> solve_with_fixed_selectors(
   // Likewise the bound-feedback hook: a restricted model's dual bound is
   // not a bound on the full problem, so it must never be published as one.
   wopts.on_bound_improved = nullptr;
-  const milp::MipResult wres = milp::solve(restricted, wopts);
+  const milp::MipResult wres = milp::solve(restrict_to_picks(ep, picked), wopts);
   return wres.has_solution() ? wres.x : std::vector<double>{};
 }
 

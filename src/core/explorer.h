@@ -109,13 +109,14 @@ class Explorer {
   /// One rung against a caller-owned session: delta-extends (or builds) the
   /// session's model to k_star = k, installs the lazy separators, installs
   /// the carried incumbent as MIP start + cutoff — or, when the carry does
-  /// not extend, the MIP start `start` returns (the fixed-routing heuristic
-  /// when `start` is empty) — solves, decodes, and updates `carry` on
-  /// success. This is the one solve step behind explore(), search_k_star,
-  /// explore_robust's repair iterations (with repair_start as `start`) and
-  /// the solve daemon's session cache: the daemon keeps the session (and
-  /// the carry) alive across requests so repeated or extended ladders
-  /// resume instead of re-deriving.
+  /// not extend, the MIP start `start` returns (fixed_routing_start when
+  /// `start` is empty) — solves, decodes, and updates `carry` on success.
+  /// This is the one solve step behind explore(), search_k_star,
+  /// explore_robust's repair iterations (with fixed_routing_start from the
+  /// previous architecture as `start`) and the solve daemon's session
+  /// cache: the daemon keeps the session (and the carry) alive across
+  /// requests so repeated or extended ladders resume instead of
+  /// re-deriving.
   ///
   /// The session must have been constructed against this explorer's
   /// template and specification; its options govern lazy separation and
@@ -197,15 +198,58 @@ class Explorer {
     const std::function<ExplorationResult(size_t i, int k)>& rung,
     const std::function<void(int k, const ExplorationResult& r, bool improved)>& on_rung = {});
 
-/// Fixes every candidate selector to the `picked` assignment (exactly one
-/// candidate per (route, replica) group) and briefly solves the remaining
-/// sizing-only MILP. Building block for warm starts: both the fixed-routing
-/// primal heuristic and explore_robust's repair restarts go through here.
-/// Returns the full variable assignment, or empty if the restricted model
-/// has no solution.
-[[nodiscard]] std::vector<double> solve_with_fixed_selectors(
-    const EncodedProblem& ep,
-    const std::map<std::pair<int, int>, const CandidatePath*>& picked,
-    const milp::SolveOptions& sopts);
+/// One candidate per (route, replica) group: a K* = 1 routing.
+using RoutePicks = std::map<std::pair<int, int>, const CandidatePath*>;
+
+/// Result of pick_fixed_routing: a pick for every group, plus whether the
+/// pick is usable as a warm start.
+struct FixedRouting {
+  RoutePicks picks;
+  /// True when every group got a pick edge-disjoint from the other replicas
+  /// of its route and every kAvoid hardening has a compliant replica. False
+  /// also when there are no candidate groups at all.
+  bool complete = false;
+};
+
+/// The fixed-routing picker (the paper's K* = 1 regime as a heuristic):
+///  1. keeps every route of `prev` still present verbatim among the
+///     candidates;
+///  2. fills each remaining group, in (route, replica) order, with its
+///     cheapest candidate (first minimum in candidate order) that shares no
+///     edge with the route's other picks, preferring candidates that
+///     satisfy every kAvoid hardening of the route — or, when every
+///     candidate clashes, with the group's first member (complete = false);
+///  3. for each kAvoid hardening with no compliant replica, swaps the first
+///     replica that has one to its cheapest compliant disjoint candidate
+///     (complete = false when none has).
+/// With no `prev` and no hardenings only step 2 acts. The explorer's probe
+/// and explore_robust's repair start use the pick only when complete; the
+/// tabu walk starts from it either way.
+[[nodiscard]] FixedRouting pick_fixed_routing(
+    const EncodedProblem& ep, const NetworkArchitecture& prev = {},
+    const std::vector<HardeningConstraint>& hardening = {});
+
+/// Copy of `ep.model` with every candidate selector fixed: to 1 for its
+/// group's pick, to 0 otherwise. The one restriction behind both
+/// solve_with_fixed_selectors and the tabu walk's evaluations.
+[[nodiscard]] milp::Model restrict_to_picks(const EncodedProblem& ep, const RoutePicks& picked);
+
+/// Solves restrict_to_picks(ep, picked) briefly: a slice of the caller's
+/// time budget, a relative gap of at least 1%, no cutoff and no bound hook
+/// (neither describes the restriction). Returns the full variable
+/// assignment, or empty if the restricted model has no solution.
+[[nodiscard]] std::vector<double> solve_with_fixed_selectors(const EncodedProblem& ep,
+                                                             const RoutePicks& picked,
+                                                             const milp::SolveOptions& sopts);
+
+/// The fixed-routing warm start: pick_fixed_routing(ep, prev, hardening)
+/// solved by solve_with_fixed_selectors, or empty when the pick is not
+/// complete. explore_rung's default start (no history) and
+/// explore_robust's repair start (the previous architecture and the
+/// hardenings so far).
+[[nodiscard]] std::vector<double> fixed_routing_start(
+    const EncodedProblem& ep, const milp::SolveOptions& sopts,
+    const NetworkArchitecture& prev = {},
+    const std::vector<HardeningConstraint>& hardening = {});
 
 }  // namespace wnet::archex

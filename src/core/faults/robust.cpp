@@ -3,7 +3,8 @@
 // The loop alternates synthesis and falsification. Each iteration is one
 // Explorer::explore_rung on a single IncrementalEncoder session: it encodes
 // the (possibly hardened) specification, solves with a repair warm start
-// seeded from the previous architecture, and decodes. The loop then replays
+// (fixed_routing_start seeded from the previous architecture and the
+// hardenings so far), and decodes. The loop then replays
 // the deterministic fault campaign against the result and folds every
 // failure back into the session as hardening constraints:
 //
@@ -18,7 +19,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -27,7 +27,6 @@
 #include "core/explorer.h"
 #include "core/faults/campaign.h"
 #include "core/faults/fault_model.h"
-#include "graph/digraph.h"
 #include "util/obs/trace.h"
 #include "util/stopwatch.h"
 
@@ -70,112 +69,6 @@ std::vector<HardeningConstraint> derive_hardenings(const faults::CampaignReport&
     }
   }
   return out;
-}
-
-/// Repair warm start: map the previous architecture's routes onto the new
-/// candidate sets by path equality, fill gaps (new replicas, regenerated
-/// candidates) greedily, then swap replicas until every kAvoid hardening
-/// has a compliant pick — keeping replicas of a route edge-disjoint
-/// throughout. Returns empty (no warm start) if the mapping cannot be
-/// repaired; the main solve then simply starts cold.
-std::vector<double> repair_start(const EncodedProblem& ep, const NetworkArchitecture& prev,
-                                 const std::vector<HardeningConstraint>& hardening,
-                                 const milp::SolveOptions& sopts) {
-  if (ep.candidates.empty()) return {};
-
-  std::map<std::pair<int, int>, std::vector<const CandidatePath*>> groups;
-  for (const auto& c : ep.candidates) groups[{c.route_index, c.replica}].push_back(&c);
-
-  std::map<std::pair<int, int>, const graph::Path*> prev_paths;
-  for (const auto& r : prev.routes) prev_paths[{r.route_index, r.replica}] = &r.path;
-
-  std::map<std::pair<int, int>, const CandidatePath*> picked;
-  const auto disjoint_with_route = [&](const std::pair<int, int>& g,
-                                       const CandidatePath* c) {
-    for (const auto& [og, oc] : picked) {
-      if (og.first == g.first && og.second != g.second &&
-          graph::shared_edges(c->path, oc->path) > 0) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // Pass 1: keep every previous route that still exists verbatim among the
-  // candidates (hardening may have regenerated or filtered the sets).
-  for (const auto& [g, cands] : groups) {
-    const auto it = prev_paths.find(g);
-    if (it == prev_paths.end()) continue;
-    for (const CandidatePath* c : cands) {
-      if (c->path.nodes == it->second->nodes) {
-        picked[g] = c;
-        break;
-      }
-    }
-  }
-
-  // Pass 2: fill unpicked groups greedily by cost, preferring candidates
-  // that satisfy every avoidance hardening on their route.
-  for (const auto& [g, cands] : groups) {
-    if (picked.count(g)) continue;
-    const CandidatePath* best = nullptr;
-    bool best_avoids = false;
-    for (const CandidatePath* c : cands) {
-      if (!disjoint_with_route(g, c)) continue;
-      bool avoids = true;
-      for (const auto& h : hardening) {
-        if (h.kind == HardeningConstraint::Kind::kAvoid && h.route_index == g.first &&
-            !path_avoids(c->path, h)) {
-          avoids = false;
-          break;
-        }
-      }
-      if (best == nullptr || (avoids && !best_avoids) ||
-          (avoids == best_avoids && c->path.cost < best->path.cost)) {
-        best = c;
-        best_avoids = avoids;
-      }
-    }
-    if (best == nullptr) return {};
-    picked[g] = best;
-  }
-
-  // Pass 3: every avoidance hardening needs >= 1 compliant replica on its
-  // route. Swap the cheapest offender to a compliant disjoint candidate.
-  for (const auto& h : hardening) {
-    if (h.kind != HardeningConstraint::Kind::kAvoid) continue;
-    bool satisfied = false;
-    for (const auto& [g, c] : picked) {
-      if (g.first == h.route_index && path_avoids(c->path, h)) {
-        satisfied = true;
-        break;
-      }
-    }
-    if (satisfied) continue;
-    bool repaired = false;
-    for (auto& [g, c] : picked) {
-      if (g.first != h.route_index) continue;
-      const CandidatePath* old = c;
-      c = nullptr;  // exclude self from the disjointness check
-      const CandidatePath* swap = nullptr;
-      for (const CandidatePath* cand : groups.at(g)) {
-        if (!path_avoids(cand->path, h) || !disjoint_with_route(g, cand)) continue;
-        if (swap == nullptr || cand->path.cost < swap->path.cost) swap = cand;
-      }
-      c = swap != nullptr ? swap : old;
-      if (swap != nullptr) {
-        repaired = true;
-        break;
-      }
-    }
-    if (!repaired) return {};  // irreparable by swapping: go cold
-  }
-
-  std::map<std::pair<int, int>, const CandidatePath*> final_picks;
-  for (const auto& [g, c] : picked) {
-    if (c != nullptr) final_picks[g] = c;
-  }
-  return solve_with_fixed_selectors(ep, final_picks, sopts);
 }
 
 }  // namespace
@@ -265,7 +158,7 @@ Explorer::RobustExplorationResult Explorer::explore_robust(
     ExplorationResult er = hardened.explore_rung(
         session, eopts.k_star, carry, sopts,
         [&](const EncodedProblem& ep, const milp::SolveOptions& so) {
-          return have_prev ? repair_start(ep, prev_arch, eopts.hardening, so)
+          return have_prev ? fixed_routing_start(ep, so, prev_arch, eopts.hardening)
                            : std::vector<double>{};
         });
 

@@ -3,19 +3,9 @@
 #include <algorithm>
 #include <set>
 
-#include "graph/digraph.h"
 #include "milp/tol.h"
-#include "util/rng.h"
 
 namespace wnet::archex::meta {
-
-/// Seeded per-iteration sampler. A fresh one is derived for every
-/// iteration from (seed, iteration index), so the sampled neighborhood at
-/// iteration k is the same no matter how run() calls were chunked.
-class MoveSampler : public util::Rng {
- public:
-  using util::Rng::Rng;
-};
 
 namespace {
 
@@ -25,6 +15,13 @@ uint64_t mix3(uint64_t a, uint64_t b, uint64_t c) {
 
 bool same_path(const graph::Path& a, const graph::Path& b) {
   return a.nodes == b.nodes;
+}
+
+/// Nodes the picked topology touches.
+std::set<int> used_nodes(const RoutePicks& picks) {
+  std::set<int> used;
+  for (const auto& [g, c] : picks) used.insert(c->path.nodes.begin(), c->path.nodes.end());
+  return used;
 }
 
 }  // namespace
@@ -38,7 +35,6 @@ TabuSearch::TabuSearch(const EncodedProblem& ep, TabuOptions opts)
     by_group[{c.route_index, c.replica}].push_back(static_cast<int>(i));
   }
   for (auto& [key, members] : by_group) {
-    group_index_[key] = static_cast<int>(group_keys_.size());
     group_keys_.push_back(key);
     groups_.push_back(std::move(members));
   }
@@ -67,23 +63,11 @@ const TabuSearch::EvalResult& TabuSearch::evaluate_current() {
   }
   ++stats_.evaluations;
 
-  // Nodes the selected topology actually touches: component overrides are
-  // only meaningful (and only safely feasible) on those.
-  std::set<int> used;
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    const CandidatePath& c =
-        ep_->candidates[static_cast<size_t>(groups_[g][static_cast<size_t>(assignment_[g])])];
-    used.insert(c.path.nodes.begin(), c.path.nodes.end());
-  }
-
-  milp::Model restricted = ep_->model;
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    for (size_t m = 0; m < groups_[g].size(); ++m) {
-      const CandidatePath& c = ep_->candidates[static_cast<size_t>(groups_[g][m])];
-      const bool on = static_cast<int>(m) == assignment_[g];
-      restricted.set_bounds(c.selector, on ? 1.0 : 0.0, on ? 1.0 : 0.0);
-    }
-  }
+  // Component overrides are only meaningful (and only safely feasible) on
+  // nodes the selected topology actually touches.
+  const RoutePicks picks = current_picks();
+  const std::set<int> used = used_nodes(picks);
+  milp::Model restricted = restrict_to_picks(*ep_, picks);
   for (const auto& [node, comp] : overrides_) {
     if (used.count(node) == 0) continue;
     if (ep_->mapping.count({comp, node}) == 0) continue;
@@ -117,44 +101,19 @@ const TabuSearch::EvalResult& TabuSearch::evaluate_current() {
   return cache_.emplace(key, std::move(ev)).first->second;
 }
 
-void TabuSearch::greedy_initial_assignment() {
-  assignment_.assign(groups_.size(), 0);
-  overrides_.clear();
-  // Lowest-cost candidate per group, edge-disjoint against the groups of
-  // the same route already placed (mirrors the explorer's fixed-routing
-  // heuristic); falls back to the group's first member when every
-  // candidate clashes.
-  std::map<int, std::vector<size_t>> placed_by_route;  // route -> groups done
+RoutePicks TabuSearch::current_picks() const {
+  RoutePicks picks;
   for (size_t g = 0; g < groups_.size(); ++g) {
-    const int route = group_keys_[g].first;
-    int best = -1;
-    double best_cost = 0.0;
-    for (size_t m = 0; m < groups_[g].size(); ++m) {
-      const CandidatePath& c = ep_->candidates[static_cast<size_t>(groups_[g][m])];
-      bool clash = false;
-      for (const size_t og : placed_by_route[route]) {
-        const CandidatePath& oc = ep_->candidates[static_cast<size_t>(
-            groups_[og][static_cast<size_t>(assignment_[og])])];
-        if (graph::shared_edges(c.path, oc.path) > 0) {
-          clash = true;
-          break;
-        }
-      }
-      if (clash) continue;
-      if (best < 0 || c.path.cost < best_cost) {
-        best = static_cast<int>(m);
-        best_cost = c.path.cost;
-      }
-    }
-    assignment_[g] = best >= 0 ? best : 0;
-    placed_by_route[route].push_back(g);
+    picks[group_keys_[g]] =
+        &ep_->candidates[static_cast<size_t>(groups_[g][static_cast<size_t>(assignment_[g])])];
   }
+  return picks;
 }
 
 void TabuSearch::seeded_restart() {
   ++restarts_;
   ++stats_.restarts;
-  MoveSampler rng(mix3(opts_.seed, 0x5274ull, static_cast<uint64_t>(restarts_)));
+  util::Rng rng(mix3(opts_.seed, 0x5274ull, static_cast<uint64_t>(restarts_)));
   for (size_t g = 0; g < groups_.size(); ++g) {
     assignment_[g] = rng.uniform_int(0, static_cast<int>(groups_[g].size()) - 1);
   }
@@ -163,7 +122,7 @@ void TabuSearch::seeded_restart() {
   stall_ = 0;
 }
 
-std::vector<TabuSearch::Move> TabuSearch::sample_moves(MoveSampler& rng) {
+std::vector<TabuSearch::Move> TabuSearch::sample_moves(util::Rng& rng) {
   std::vector<Move> moves;
   moves.reserve(static_cast<size_t>(opts_.neighborhood));
 
@@ -182,12 +141,7 @@ std::vector<TabuSearch::Move> TabuSearch::sample_moves(MoveSampler& rng) {
     if (gs.size() >= 2) swap_routes.push_back(route);
   }
   // Nodes used by the current topology that offer more than one component.
-  std::set<int> used;
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    const CandidatePath& c =
-        ep_->candidates[static_cast<size_t>(groups_[g][static_cast<size_t>(assignment_[g])])];
-    used.insert(c.path.nodes.begin(), c.path.nodes.end());
-  }
+  const std::set<int> used = used_nodes(current_picks());
   std::map<int, std::vector<int>> node_components;
   for (const auto& [ck, var] : ep_->mapping) {
     if (used.count(ck.second) != 0) node_components[ck.second].push_back(ck.first);
@@ -280,9 +234,8 @@ void TabuSearch::apply(const Move& m) {
   }
 }
 
-void TabuSearch::undo(const Move& m, const std::vector<int>& prev_assign,
+void TabuSearch::undo(const std::vector<int>& prev_assign,
                       const std::map<int, int>& prev_overrides) {
-  (void)m;
   assignment_ = prev_assign;
   overrides_ = prev_overrides;
 }
@@ -306,14 +259,17 @@ bool TabuSearch::run(int iterations) {
   if (!runnable() || iterations < 0) return false;
   bool improved_any = false;
 
-  // First call: place and evaluate the greedy initial assignment.
+  // First call: start from the fixed-routing pick, disjoint or not — the
+  // explorer's probe restriction — and evaluate it.
   if (assignment_.empty()) {
-    greedy_initial_assignment();
+    const FixedRouting start = pick_fixed_routing(*ep_);
+    for (size_t g = 0; g < groups_.size(); ++g) {
+      const int picked = static_cast<int>(start.picks.at(group_keys_[g]) - ep_->candidates.data());
+      const auto it = std::find(groups_[g].begin(), groups_[g].end(), picked);
+      assignment_.push_back(static_cast<int>(it - groups_[g].begin()));
+    }
     const EvalResult& ev = evaluate_current();
-    current_feasible_ = ev.feasible;
     if (ev.feasible) {
-      current_obj_ = ev.objective;
-      current_x_ = ev.x;
       best_feasible_ = true;
       best_obj_ = ev.objective;
       best_x_ = ev.x;
@@ -335,7 +291,7 @@ bool TabuSearch::run(int iterations) {
     ++iteration_;
     ++stats_.iterations;
 
-    MoveSampler rng(mix3(opts_.seed, 0x7AB0ull, static_cast<uint64_t>(iteration_)));
+    util::Rng rng(mix3(opts_.seed, 0x7AB0ull, static_cast<uint64_t>(iteration_)));
     const std::vector<Move> moves = sample_moves(rng);
 
     const std::vector<int> prev_assign = assignment_;
@@ -370,7 +326,7 @@ bool TabuSearch::run(int iterations) {
       }
       apply(m);
       const EvalResult& ev = evaluate_current();
-      undo(m, prev_assign, prev_overrides);
+      undo(prev_assign, prev_overrides);
 
       // Aspiration on the objective: a tabu move that beats the global
       // best is always admissible.
@@ -418,11 +374,6 @@ bool TabuSearch::run(int iterations) {
       }
       apply(m);
       const EvalResult& ev = evaluate_current();
-      current_feasible_ = ev.feasible;
-      if (ev.feasible) {
-        current_obj_ = ev.objective;
-        current_x_ = ev.x;
-      }
       if (ev.feasible && (!best_feasible_ || ev.objective < best_obj_ - milp::tol::kObjImprove)) {
         best_feasible_ = true;
         best_obj_ = ev.objective;
@@ -437,16 +388,11 @@ bool TabuSearch::run(int iterations) {
     if (stall_ >= opts_.stall_before_restart && restarts_ < opts_.max_restarts) {
       seeded_restart();
       const EvalResult& ev = evaluate_current();
-      current_feasible_ = ev.feasible;
-      if (ev.feasible) {
-        current_obj_ = ev.objective;
-        current_x_ = ev.x;
-        if (!best_feasible_ || ev.objective < best_obj_ - milp::tol::kObjImprove) {
-          best_feasible_ = true;
-          best_obj_ = ev.objective;
-          best_x_ = ev.x;
-          improved_any = true;
-        }
+      if (ev.feasible && (!best_feasible_ || ev.objective < best_obj_ - milp::tol::kObjImprove)) {
+        best_feasible_ = true;
+        best_obj_ = ev.objective;
+        best_x_ = ev.x;
+        improved_any = true;
       }
     }
   }
@@ -486,9 +432,6 @@ void TabuSearch::adopt_incumbent(const std::vector<double>& x, double objective)
   }
   assignment_ = std::move(derived);
   overrides_.clear();
-  current_feasible_ = true;
-  current_obj_ = objective;
-  current_x_ = best_x_;
   stall_ = 0;
 }
 

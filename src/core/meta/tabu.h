@@ -5,11 +5,12 @@
 ///
 /// The search state is one Yen candidate per (route, replica) group of the
 /// encoded problem, plus optional per-node component overrides. A state is
-/// evaluated by fixing the matching selector (and mapping) binaries and
-/// solving the remaining sizing-only MILP with a tight budget — the same
-/// restriction the explorer's fixed-routing warm start solves, so every
-/// tabu incumbent is a genuine full-model assignment the exact solver can
-/// adopt as a MIP start.
+/// evaluated by fixing the matching selector binaries (restrict_to_picks,
+/// the restriction the explorer's fixed-routing warm start solves), fixing
+/// any mapping overrides, and solving the remaining sizing-only MILP with a
+/// tight budget, so every tabu incumbent is a genuine full-model assignment
+/// the exact solver can adopt as a MIP start. The walk starts from
+/// pick_fixed_routing, the explorer probe's routing.
 ///
 /// Move set (all sampled, seeded, deterministic):
 ///  - reroute: move one group to a different Yen candidate;
@@ -38,9 +39,11 @@
 #include <vector>
 
 #include "core/encode/encoded_problem.h"
+#include "core/explorer.h"
 #include "milp/cuts.h"
 #include "milp/solver.h"
 #include "util/exec/exec.h"
+#include "util/rng.h"
 
 namespace wnet::archex::meta {
 
@@ -96,7 +99,7 @@ class TabuSearch {
   [[nodiscard]] bool runnable() const { return !groups_.empty(); }
 
   /// Advances up to `iterations` move rounds (resumable). The first call
-  /// also evaluates the greedy initial assignment — run(0) performs exactly
+  /// also evaluates the fixed-routing pick — run(0) performs exactly
   /// that probe and nothing else, which is how the portfolio stamps its
   /// first incumbent before any local-search work.
   /// Returns true when the
@@ -150,10 +153,12 @@ class TabuSearch {
   [[nodiscard]] uint64_t state_hash() const;
   [[nodiscard]] const EvalResult& evaluate_current();
   void apply(const Move& m);
-  void undo(const Move& m, const std::vector<int>& prev_assign,
-            const std::map<int, int>& prev_overrides);
-  [[nodiscard]] std::vector<Move> sample_moves(class MoveSampler& rng);
-  void greedy_initial_assignment();
+  void undo(const std::vector<int>& prev_assign, const std::map<int, int>& prev_overrides);
+  /// A fresh sampler per iteration, seeded from (seed, iteration index), so
+  /// the neighborhood at iteration k is the same however run() is chunked.
+  [[nodiscard]] std::vector<Move> sample_moves(util::Rng& rng);
+  /// The current assignment as one candidate per group.
+  [[nodiscard]] RoutePicks current_picks() const;
   void seeded_restart();
 
   const EncodedProblem* ep_;
@@ -163,13 +168,9 @@ class TabuSearch {
   /// member indices (into ep_->candidates).
   std::vector<std::pair<int, int>> group_keys_;
   std::vector<std::vector<int>> groups_;
-  std::map<std::pair<int, int>, int> group_index_;
 
   std::vector<int> assignment_;        ///< member index per group
   std::map<int, int> overrides_;       ///< node -> forced library component
-  std::vector<double> current_x_;      ///< last feasible eval of the current state
-  bool current_feasible_ = false;
-  double current_obj_ = 0.0;
 
   bool best_feasible_ = false;
   double best_obj_ = milp::kInf;

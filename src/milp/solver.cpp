@@ -397,12 +397,14 @@ LpResult BranchAndBound::solve_lp(const Basis* basis) {
   const bool warm_ok = opts_.warm_start &&
                        stats_.numerical_failures < kColdRestartAfterFailures;
   LpResult res;
+  bool warm = false;  // the attempt ran from an inherited basis
   if (basis != nullptr && warm_ok) {
     ++stats_.warm_attempts;
     res = engine_->solve_from(*basis);
     const simplex::SolveInfo& info = engine_->last_solve_info();
     if (info.reused_lu) ++stats_.warm_lu_reused;
     if (info.refactor_fallback) ++stats_.warm_fallbacks;
+    warm = !info.refactor_fallback;
   } else {
     ++stats_.cold_solves;
     res = engine_->solve();
@@ -410,6 +412,10 @@ LpResult BranchAndBound::solve_lp(const Basis* basis) {
   stats_.lp_iterations += res.iterations;
   // Escalating cold retries: rebuild the engine from scratch with a 10x
   // larger iteration budget each round rather than abandoning the subtree.
+  // A cold solve's pivot path is fixed (deterministic cost jitter), so a
+  // retry only helps when the path can change: after a warm start, or when
+  // the budget ran out. Numerical trouble on a cold solve (including a warm
+  // start that fell back cold) is final.
   simplex::LpOptions retry = opts_.lp;
   bool escalated = false;
   for (int attempt = 0;
@@ -420,9 +426,10 @@ LpResult BranchAndBound::solve_lp(const Basis* basis) {
     // deadline or a tripped token must not be granted fresh seconds (the old
     // 1.0s floor here leaked up to a second per node past the budget).
     if (attempt >= opts_.max_numerical_retries || deadline_.expired() ||
-        opts_.exec.token.cancelled()) {
+        opts_.exec.token.cancelled() || (res.status == LpStatus::kNumericalTrouble && !warm)) {
       break;
     }
+    warm = false;
     retry.max_iters *= 10;
     retry.time_limit_s = remaining_s();
     retire_engine();

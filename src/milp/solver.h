@@ -78,10 +78,12 @@ struct SolveOptions {
   bool collect_timeline = true;
 
   /// Numerical-failure handling: when a node LP hits its iteration limit or
-  /// numerical trouble, re-solve it from scratch (cold dual simplex, fresh
-  /// factorization) with a 10x larger iteration budget per escalation —
-  /// up to this many escalations — instead of abandoning the subtree.
-  /// Past 25 accumulated failures, every node LP starts cold.
+  /// a warm-started one hits numerical trouble, re-solve it from scratch
+  /// (cold dual simplex, fresh factorization) with a 10x larger iteration
+  /// budget per escalation — up to this many escalations — instead of
+  /// abandoning the subtree. Numerical trouble on a cold solve is final: a
+  /// cold retry would replay the same pivots. Past 25 accumulated
+  /// failures, every node LP starts cold.
   int max_numerical_retries = 3;
 
   /// Cut separation: callbacks invoked on node LP points, a deduplicating

@@ -265,5 +265,27 @@ TEST(MipSolver, RetryEscalationIsBounded) {
   EXPECT_GT(res.stats.numerical_failures, 0);
 }
 
+TEST(MipSolver, ColdNumericalTroubleIsNotRetried) {
+  // A negative pivot tolerance admits zero pivots, so the root LP's first
+  // pivot leaves a singular basis and the cold solve ends in numerical
+  // trouble after one iteration. A cold retry would replay that pivot path
+  // bit for bit (the cost jitter is seeded), so the failure is final: one
+  // failure, one attempt's iterations, no retries.
+  Model m;
+  const Var x1 = m.add_binary("x1");
+  const Var x2 = m.add_binary("x2");
+  const Var x3 = m.add_continuous("x3", 0.0, 10.0);
+  m.add_ge(2.0 * LinExpr(x1) + 3.0 * LinExpr(x2) + LinExpr(x3), 4.0);
+  m.add_ge(LinExpr(x1) + LinExpr(x3), 1.5);
+  m.minimize(5.0 * LinExpr(x1) + 4.0 * LinExpr(x2) + 3.0 * LinExpr(x3));
+
+  SolveOptions opts;
+  opts.lp.pivot_tol = -1.0;
+  const auto res = solve(m, opts);
+  EXPECT_FALSE(res.has_solution());
+  EXPECT_EQ(res.stats.numerical_failures, 1);
+  EXPECT_EQ(res.stats.lp_iterations, 1);
+}
+
 }  // namespace
 }  // namespace wnet::milp
